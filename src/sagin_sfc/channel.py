@@ -4,6 +4,10 @@ Ground-UAV uses a distance-squared gain model, UAV-UAV a log-distance path
 loss, UAV/satellite uplinks and inter-satellite links a bit-energy budget,
 and satellite-ground an SNR with free-space and rain terms. Air links map
 SNR to rate through the Shannon bound; slot capacity is rate * slot length.
+
+Every formula is elementwise: it takes a scalar distance or an array of
+them. LinkRateTable evaluates each link kind once over all of that kind's
+links and keeps the rates as a (slot, src, dst) array beside Rteg.kinds.
 """
 
 from __future__ import annotations
@@ -11,14 +15,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .config import RadioConfig
-from .topology import LinkKind, Rteg
+from .topology import LINK_KINDS, LinkKind, Rteg
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
 BOLTZMANN = 1.380649e-23  # J/K
 
 
-def db_to_linear(db: float) -> float:
+def db_to_linear(db):
     return 10.0 ** (db / 10.0)
 
 
@@ -95,29 +101,29 @@ class RadioConstants:
         )
 
 
-def g2u_snr(p_tr_w: float, iota0: float, distance_m: float) -> float:
+def g2u_snr(p_tr_w: float, iota0: float, distance_m):
     """Ground-UAV SNR: transmit power times reference gain over squared distance."""
-    if distance_m <= 0:
+    if np.any(distance_m <= 0):
         raise ValueError("distance must be positive")
     return p_tr_w * iota0 / distance_m**2
 
 
-def u2u_path_loss_db(distance_m: float, f_hz: float) -> float:
+def u2u_path_loss_db(distance_m, f_hz: float):
     """Free-space log-distance loss between UAVs, dB."""
-    if distance_m <= 0 or f_hz <= 0:
+    if np.any(distance_m <= 0) or f_hz <= 0:
         raise ValueError("distance and frequency must be positive")
-    return 20.0 * math.log10(distance_m) + 20.0 * math.log10(f_hz) - 147.55
+    return 20.0 * np.log10(distance_m) + 20.0 * math.log10(f_hz) - 147.55
 
 
-def u2u_snr(p_w: float, f_hz: float, distance_m: float, noise_w: float) -> float:
+def u2u_snr(p_w: float, f_hz: float, distance_m, noise_w: float):
     """UAV-UAV SNR through the log-distance loss over receiver noise power."""
     pl = u2u_path_loss_db(distance_m, f_hz)
     return p_w * db_to_linear(-pl) / noise_w
 
 
-def free_space_factor(slant_range_m: float, f_hz: float) -> float:
+def free_space_factor(slant_range_m, f_hz: float):
     """(c / (4 pi S f))^2 propagation factor."""
-    if slant_range_m <= 0:
+    if np.any(slant_range_m <= 0):
         raise ValueError("slant range must be positive")
     return (SPEED_OF_LIGHT / (4.0 * math.pi * slant_range_m * f_hz)) ** 2
 
@@ -125,13 +131,13 @@ def free_space_factor(slant_range_m: float, f_hz: float) -> float:
 def sat_link_rate(
     p_w: float,
     gain_product: float,
-    slant_range_m: float,
+    slant_range_m,
     f_hz: float,
     line_loss: float,
     ebn0_req: float,
     t_s_k: float,
-    denominator: float,
-) -> float:
+    denominator,
+):
     """Achievable bit rate of a bit-energy-budget link (uplink / inter-satellite).
 
     `denominator` is the final divisor: a linear link margin under the default
@@ -149,22 +155,22 @@ def rain_loss_linear(rain_db_per_km: float, slant_path_km: float) -> float:
 def s2g_snr(
     p_w: float,
     gain_product: float,
-    slant_range_m: float,
+    slant_range_m,
     f_hz: float,
     rain_linear: float,
     n0_w_per_hz: float,
     b_hz: float,
-) -> float:
+):
     """Satellite-ground SNR: EIRP through free space and rain over noise power."""
     l_ij = free_space_factor(slant_range_m, f_hz)
     return p_w * gain_product * l_ij * rain_linear / (n0_w_per_hz * b_hz)
 
 
-def shannon_rate_bps(b_hz: float, snr: float) -> float:
-    return b_hz * math.log2(1.0 + snr)
+def shannon_rate_bps(b_hz: float, snr):
+    return b_hz * np.log2(1.0 + snr)
 
 
-def link_rate_bps(kind: LinkKind, distance_m: float, k: RadioConstants) -> float:
+def link_rate_bps(kind: LinkKind, distance_m, k: RadioConstants):
     """Nominal point-to-point rate of a link at a given separation."""
     if kind is LinkKind.G2U:
         return shannon_rate_bps(k.b_gu_hz, g2u_snr(k.p_tr_g_w, k.iota0, distance_m))
@@ -193,7 +199,7 @@ def link_rate_bps(kind: LinkKind, distance_m: float, k: RadioConstants) -> float
     raise ValueError(f"unknown link kind {kind}")
 
 
-def _sat_budget_denominator(k: RadioConstants, slant_range_m: float) -> float:
+def _sat_budget_denominator(k: RadioConstants, slant_range_m):
     if k.sat_budget_denominator == "margin":
         return k.margin
     if k.sat_budget_denominator == "slant_range":
@@ -201,27 +207,36 @@ def _sat_budget_denominator(k: RadioConstants, slant_range_m: float) -> float:
     raise ValueError(f"unknown sat_budget_denominator {k.sat_budget_denominator!r}")
 
 
-def slot_capacity_bits(kind: LinkKind, distance_m: float, k: RadioConstants, tau_s: float) -> float:
+def slot_capacity_bits(kind: LinkKind, distance_m, k: RadioConstants, tau_s: float):
     """Bits a link can carry within one slot."""
     return link_rate_bps(kind, distance_m, k) * tau_s
 
 
 class LinkRateTable:
-    """Precomputed nominal rate and slot capacity for every (src, dst, slot) link."""
+    """Nominal rate and slot capacity of every (src, dst, slot) link, as one array."""
 
     def __init__(self, rteg: Rteg, constants: RadioConstants):
         self.tau_s = rteg.slot_seconds
-        self._rate: dict = {}
-        for t in range(1, rteg.slot_count + 1):
-            for link in rteg.links[t]:
-                d = rteg.distance(link.src, link.dst, t)
-                self._rate[(link.src, link.dst, t)] = link_rate_bps(link.kind, d, constants)
-
-    def rate_bps(self, src: int, dst: int, slot: int) -> float:
-        return self._rate[(src, dst, slot)]
-
-    def slot_bits(self, src: int, dst: int, slot: int) -> float:
-        return self._rate[(src, dst, slot)] * self.tau_s
+        self._kinds = rteg.kinds
+        self.bps = np.zeros(rteg.kinds.shape)  # (slot, src, dst) rate; 0 where no link
+        for code, kind in enumerate(LINK_KINDS):
+            cells = rteg.kinds == code
+            if cells.any():
+                self.bps[cells] = link_rate_bps(kind, rteg.distances[cells], constants)
+        self._slots, self._nodes = rteg.slot_count, rteg.node_count
 
     def has(self, src: int, dst: int, slot: int) -> bool:
-        return (src, dst, slot) in self._rate
+        """Whether the link exists; False for a slot outside 1..T or a node outside 0..N-1."""
+        n = self._nodes
+        return (0 < slot <= self._slots and 0 <= src < n and 0 <= dst < n
+                and self._kinds.item(slot - 1, src, dst) >= 0)
+
+    def rate_bps(self, src: int, dst: int, slot: int) -> float:
+        if not self.has(src, dst, slot):
+            raise KeyError((src, dst, slot))
+        return self.bps.item(slot - 1, src, dst)
+
+    def slot_bits(self, src: int, dst: int, slot: int) -> float:
+        if not self.has(src, dst, slot):
+            raise KeyError((src, dst, slot))
+        return self.bps.item(slot - 1, src, dst) * self.tau_s

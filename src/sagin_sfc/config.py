@@ -196,11 +196,39 @@ def _build_section(cls, data: dict, path: str):
         if sub is not None:
             kwargs[name] = _build_section(sub, value, f"{path}.{name}")
         elif name == "satellite_orbits":
-            kwargs[name] = [_build_section(OrbitConfig, o, f"{path}.{name}[{i}]")
-                            for i, o in enumerate(value)]
+            kwargs[name] = _build_orbits(value, f"{path}.{name}")
         else:
             kwargs[name] = _coerce(fields[name].type, value, f"{path}.{name}")
     return cls(**kwargs)
+
+
+def _build_orbits(value: Any, path: str) -> list:
+    if not isinstance(value, list):
+        raise ConfigError(f"{path}: expected a list of orbits, got {value!r}")
+    return [_build_section(OrbitConfig, o, f"{path}[{i}]") for i, o in enumerate(value)]
+
+
+def check_config(cfg: RunConfig) -> RunConfig:
+    """Cross-field checks that fail at load rather than deep inside a run."""
+    sc, w = cfg.scenario, cfg.workload
+    checks = [
+        (sc.slot_count >= 1, f"scenario.slot_count must be at least 1, got {sc.slot_count}"),
+        (not sc.satellite_orbits or sc.satellite_trace_file
+         or len(sc.satellite_orbits) == sc.satellite_count,
+         f"scenario.satellite_orbits lists {len(sc.satellite_orbits)} orbits "
+         f"for {sc.satellite_count} satellites"),
+        (1 <= w.vnf_min <= w.vnf_max,
+         f"workload needs 1 <= vnf_min <= vnf_max, got {w.vnf_min} and {w.vnf_max}"),
+        (w.deadline_min_slots <= w.deadline_max_slots,
+         f"workload needs deadline_min_slots <= deadline_max_slots, "
+         f"got {w.deadline_min_slots} and {w.deadline_max_slots}"),
+        (0.0 <= cfg.agent.discount < 1.0,
+         f"agent.discount must lie in [0, 1), got {cfg.agent.discount}"),
+    ]
+    for ok, message in checks:
+        if not ok:
+            raise ConfigError(message)
+    return cfg
 
 
 def _coerce(annot: str | type, value: Any, path: str):
@@ -250,7 +278,7 @@ def load_config(path: str | None = None) -> RunConfig:
         merged = _merge(dataclasses.asdict(getattr(cfg, name)), data, name)
         section_cls = type(getattr(cfg, name))
         setattr(cfg, name, _build_section(section_cls, merged, name))
-    return cfg
+    return check_config(cfg)
 
 
 def _merge(base: dict, override: dict, path: str) -> dict:
@@ -284,9 +312,11 @@ def apply_overrides(cfg: RunConfig, pairs: list[str]) -> RunConfig:
             f.name for f in dataclasses.fields(target)
         }:
             raise ConfigError(f"unknown config path {dotted!r}")
-        current = getattr(target, leaf)
-        setattr(target, leaf, _parse_literal(raw_value, current, dotted))
-    return cfg
+        value = _parse_literal(raw_value, getattr(target, leaf), dotted)
+        if leaf == "satellite_orbits":
+            value = _build_orbits(value, dotted)
+        setattr(target, leaf, value)
+    return check_config(cfg)
 
 
 def _parse_literal(raw: str, current: Any, path: str):

@@ -3,13 +3,19 @@
 UAVs pay hover plus movement power every slot and transmit energy per bit
 sent; satellites pay a fixed operational cost per slot plus transmit and
 receive energy. Compute energy is charged per processed bit on both. The
-ledger tracks cumulative spend per node against its budget.
+ledger tracks cumulative spend per node against its budget. The environment
+and the validator both price energy through fixed_energy_j, link_powers_w
+and transfer_charges.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+
+import numpy as np
+
+from .topology import LinkKind, NodeKind
 
 
 def uav_hover_power_w(
@@ -58,6 +64,49 @@ def transfer_energy_j(p_w: float, delta_bits: float, rate_bps: float) -> float:
 
 def compute_energy_j(sigma_bits: float, e_c_j_per_bit: float) -> float:
     return sigma_bits * e_c_j_per_bit
+
+
+def fixed_energy_j(instance, horizon: int) -> dict:
+    """Unavoidable burn over the horizon: hover/movement for UAVs, upkeep for satellites."""
+    rteg = instance.rteg
+    tau = rteg.slot_seconds
+    fixed = {}
+    for n in rteg.nodes:
+        if n.kind is NodeKind.UAV:
+            hover = uav_hover_power_w(n.mass_kg, n.rotor_radius_m, n.rotor_count,
+                                      instance.gravity_mps2, instance.air_density_kg_m3)
+            total = 0.0
+            for t in range(1, horizon + 1):
+                prev = rteg.position(n.node_id, max(t - 1, 1))
+                here = rteg.position(n.node_id, t)
+                disp = float(np.linalg.norm(here - prev))
+                total += uav_slot_energy_j(disp / tau, n.max_speed_mps, n.max_power_w,
+                                           hover, disp, tau)
+            fixed[n.node_id] = total
+        elif n.kind is NodeKind.SATELLITE:
+            fixed[n.node_id] = instance.e_op_sat_j_per_slot * horizon
+    return fixed
+
+
+def link_powers_w(instance) -> dict:
+    """Per link kind: (transmit power at the source, receive power at the destination)."""
+    return {
+        LinkKind.G2U: (0.0, 0.0),  # ground stations are not energy tracked
+        LinkKind.U2G: (instance.p_tr_u_w, 0.0),
+        LinkKind.U2U: (instance.p_uu_w, 0.0),
+        LinkKind.U2S: (instance.p_us_w, instance.p_re_us_w),
+        LinkKind.S2S: (instance.p_ss_w, instance.p_re_ss_w),
+        LinkKind.S2G: (instance.p_sg_w, 0.0),
+    }
+
+
+def transfer_charges(
+    powers: dict, kind: LinkKind, src: int, dst: int, delta_bits: float, rate_bps: float
+) -> list:
+    """(node, joules) radio energy of one transfer: the sender first, then the receiver."""
+    tx_w, rx_w = powers[kind]
+    return [(node, transfer_energy_j(p_w, delta_bits, rate_bps))
+            for node, p_w in ((src, tx_w), (dst, rx_w)) if p_w > 0]
 
 
 @dataclass

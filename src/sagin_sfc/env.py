@@ -30,11 +30,11 @@ import numpy as np
 from .energy import (
     EnergyLedger,
     compute_energy_j,
-    transfer_energy_j,
-    uav_hover_power_w,
-    uav_slot_energy_j,
+    fixed_energy_j,
+    link_powers_w,
+    transfer_charges,
 )
-from .topology import LinkKind, NodeKind
+from .topology import NodeKind
 from .workload import vnf_process_slots
 
 
@@ -220,14 +220,9 @@ class SaginEnv:
         self.capacity = np.array(
             [n.compute_capacity_bits for n in self.rteg.nodes], dtype=float
         )
-        self._hover_w = {
-            n.node_id: uav_hover_power_w(
-                n.mass_kg, n.rotor_radius_m, n.rotor_count,
-                instance.gravity_mps2, instance.air_density_kg_m3,
-            )
-            for n in self.rteg.nodes
-            if n.kind is NodeKind.UAV
-        }
+        self._present = self.rteg.kinds >= 0  # (slot, src, dst)
+        self._relay = np.array([n.kind is not NodeKind.GROUND for n in self.rteg.nodes])
+        self._link_powers = link_powers_w(instance)
         self.reset()
 
     # -- lifecycle ---------------------------------------------------------
@@ -245,27 +240,9 @@ class SaginEnv:
         self.log = ScheduleLog() if self.record_log else None
         self.util_occupied_sum = 0.0
         self.episode_over = False
-        self._precharge_fixed_energy()
+        for node, joules in fixed_energy_j(self.instance, self.horizon).items():
+            self.energy.charge(node, 0, "fixed", joules)
         return self.state()
-
-    def _precharge_fixed_energy(self) -> None:
-        tau = self.rteg.slot_seconds
-        for n in self.rteg.nodes:
-            if n.kind is NodeKind.UAV:
-                hover = self._hover_w[n.node_id]
-                total = 0.0
-                for t in range(1, self.horizon + 1):
-                    prev = self.rteg.position(n.node_id, max(t - 1, 1))
-                    here = self.rteg.position(n.node_id, t)
-                    disp = float(np.linalg.norm(here - prev))
-                    total += uav_slot_energy_j(
-                        disp / tau, n.max_speed_mps, n.max_power_w, hover, disp, tau
-                    )
-                self.energy.charge(n.node_id, 0, "fixed", total)
-            elif n.kind is NodeKind.SATELLITE:
-                self.energy.charge(
-                    n.node_id, 0, "fixed", self.instance.e_op_sat_j_per_slot * self.horizon
-                )
 
     # -- views -------------------------------------------------------------
 
@@ -291,22 +268,22 @@ class SaginEnv:
         return [k for k, s in self.sfcs.items() if s.done is None]
 
     def action_mask(self, k: int) -> np.ndarray:
-        """Boolean mask over node ids; stay is always allowed, moves need a link now."""
+        """Boolean mask over node ids; stay is always allowed, moves need a link now.
+
+        A move may target any linked UAV or satellite, and the chain's
+        destination once its last VNF is done.
+        """
         s = self.sfcs[k]
         if s.done is not None:
             raise ValueError(f"SFC {k} is finished")
-        mask = np.zeros(self.rteg.node_count, dtype=bool)
-        mask[s.node] = True
         if s.phase is VnfPhase.TRANSMITTING and s.t_c > 1:
-            return mask  # committed to the wire
-        for link in self.rteg.links[self.slot]:
-            if link.src != s.node:
-                continue
-            dst_kind = self.node_kind[link.dst]
-            if dst_kind in (NodeKind.UAV, NodeKind.SATELLITE):
-                mask[link.dst] = True
-            elif s.vnf_index > s.request.length and link.dst == s.request.dest:
-                mask[link.dst] = True
+            mask = np.zeros(self.rteg.node_count, dtype=bool)  # committed to the wire
+        else:
+            links = self._present[self.slot - 1, s.node]
+            mask = links & self._relay
+            if s.vnf_index > s.request.length:
+                mask[s.request.dest] = links[s.request.dest]
+        mask[s.node] = True
         return mask
 
     def masks(self) -> dict:
@@ -469,26 +446,9 @@ class SaginEnv:
         self, src: int, dst: int, start: int, delta: float, dry_run: bool
     ) -> bool:
         """Transmit (and satellite receive) energy for one transfer; False if over budget."""
-        link = self.rteg.link(src, dst, start)
+        kind = self.rteg.link(src, dst, start)
         rate = self.rates.rate_bps(src, dst, start)
-        inst = self.instance
-        tx_power = {
-            LinkKind.G2U: 0.0,  # ground stations are not energy tracked
-            LinkKind.U2G: inst.p_tr_u_w,
-            LinkKind.U2U: inst.p_uu_w,
-            LinkKind.U2S: inst.p_us_w,
-            LinkKind.S2S: inst.p_ss_w,
-            LinkKind.S2G: inst.p_sg_w,
-        }[link.kind]
-        rx_power = {
-            LinkKind.U2S: inst.p_re_us_w,
-            LinkKind.S2S: inst.p_re_ss_w,
-        }.get(link.kind, 0.0)
-        charges = []
-        if tx_power > 0:
-            charges.append((src, transfer_energy_j(tx_power, delta, rate)))
-        if rx_power > 0:
-            charges.append((dst, transfer_energy_j(rx_power, delta, rate)))
+        charges = transfer_charges(self._link_powers, kind, src, dst, delta, rate)
         if any(self.energy.headroom_j(node) < joules for node, joules in charges):
             return False
         if not dry_run:

@@ -69,33 +69,6 @@ class DenseNet:
         twin.biases = [b.copy() for b in self.biases]
         return twin
 
-    # -- persistence -------------------------------------------------------
-
-    def save(self, path: str) -> None:
-        arrays = {f"w{i}": w for i, w in enumerate(self.weights)}
-        arrays.update({f"b{i}": b for i, b in enumerate(self.biases)})
-        np.savez(path, sizes=np.array(self.sizes), **arrays)
-
-    @classmethod
-    def load(cls, path: str) -> "DenseNet":
-        data = np.load(path)
-        net = cls.__new__(cls)
-        net.sizes = [int(s) for s in data["sizes"]]
-        net.weights = [data[f"w{i}"] for i in range(len(net.sizes) - 1)]
-        net.biases = [data[f"b{i}"] for i in range(len(net.sizes) - 1)]
-        return net
-
-
-def mse_loss_and_grads(net: DenseNet, x: np.ndarray, y: np.ndarray) -> tuple:
-    """Mean squared error over all outputs, with parameter gradients."""
-    out, cache = net.forward_cached(x)
-    target = np.atleast_2d(np.asarray(y, dtype=float))
-    diff = out - target
-    loss = float(np.mean(diff**2))
-    grad_out = 2.0 * diff / diff.size
-    grad_w, grad_b = net.backward(cache, grad_out)
-    return loss, grad_w + grad_b
-
 
 class Adam:
     """Adam with bias correction; one state slot per parameter array."""

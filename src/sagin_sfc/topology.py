@@ -4,13 +4,19 @@ Positions live in a local scene frame (metres): x east, y north, z up, with
 the origin on the ground. Satellites fly idealized circular orbits whose
 track passes directly over the scene origin at orbit angle 0, so a satellite
 with phase 0 sits at (0, 0, altitude) in slot 1. Slots are 1-based.
+
+The graph is two dense (slot, src, dst) arrays, computed once by
+broadcasting: `distances` in metres and `kinds`, a code into LINK_KINDS
+wherever the node kinds and the range limit allow a directed link, -1
+elsewhere. Storage self-links are implicit: UAVs and satellites hold data
+from one slot to the next.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -35,6 +41,9 @@ class LinkKind(Enum):
     S2S = "s2s"
     S2G = "s2g"
 
+
+# link kind of each code in Rteg.kinds
+LINK_KINDS = tuple(LinkKind)
 
 # directed kind table: (src kind, dst kind) -> link kind; S->U and G<->G/G->S absent
 _LINK_KINDS = {
@@ -64,22 +73,15 @@ class NodeSpec:
 
 
 @dataclass
-class Link:
-    src: int
-    dst: int
-    kind: LinkKind
-
-
-@dataclass
 class Rteg:
-    """Per-slot node replicas and typed directed links; storage links derived."""
+    """Per-slot node replicas and typed directed links, as (slot, src, dst) arrays."""
 
     slot_count: int
     slot_seconds: float
     nodes: list  # list[NodeSpec]
     positions: np.ndarray  # (node_count, slot_count, 3) metres
-    links: dict = field(default_factory=dict)  # slot -> list[Link]
-    _link_index: dict = field(default_factory=dict, repr=False)
+    distances: np.ndarray  # (slot_count, node_count, node_count) metres
+    kinds: np.ndarray  # same shape, int8 code into LINK_KINDS; -1 where no link
 
     @property
     def node_count(self) -> int:
@@ -88,17 +90,13 @@ class Rteg:
     def position(self, node_id: int, slot: int) -> np.ndarray:
         return self.positions[node_id, slot - 1]
 
-    def distance(self, i: int, j: int, slot: int) -> float:
-        return float(np.linalg.norm(self.position(i, slot) - self.position(j, slot)))
-
-    def link(self, src: int, dst: int, slot: int) -> Link | None:
-        return self._link_index.get((src, dst, slot))
-
-    def storage_links(self, slot: int) -> list:
-        """Self links carrying state from `slot` to slot+1; UAV/satellite only, t < T."""
-        if slot >= self.slot_count:
-            return []
-        return [n.node_id for n in self.nodes if n.kind is not NodeKind.GROUND]
+    def link(self, src: int, dst: int, slot: int) -> LinkKind | None:
+        """Kind of the src -> dst link in a slot; None if absent or out of range."""
+        n = self.node_count
+        if not (1 <= slot <= self.slot_count and 0 <= src < n and 0 <= dst < n):
+            return None
+        code = self.kinds.item(slot - 1, src, dst)
+        return LINK_KINDS[code] if code >= 0 else None
 
     def nodes_of_kind(self, kind: NodeKind) -> list:
         return [n.node_id for n in self.nodes if n.kind is kind]
@@ -106,18 +104,12 @@ class Rteg:
     def canonical(self) -> tuple:
         """Deterministic structural summary for equality/determinism checks."""
         link_part = tuple(
-            (t, tuple(sorted((l.src, l.dst, l.kind.value) for l in self.links[t])))
-            for t in range(1, self.slot_count + 1)
+            (t + 1, tuple((src, dst, LINK_KINDS[self.kinds[t, src, dst]].value)
+                          for src, dst in np.argwhere(self.kinds[t] >= 0).tolist()))
+            for t in range(self.slot_count)
         )
         pos_part = tuple(map(tuple, np.round(self.positions, 6).reshape(-1, 3)))
         return (self.slot_count, link_part, pos_part)
-
-
-def links_at(rteg: Rteg, slot: int) -> list:
-    """All communication links present in a slot."""
-    if not 1 <= slot <= rteg.slot_count:
-        raise ValueError(f"slot {slot} outside 1..{rteg.slot_count}")
-    return rteg.links[slot]
 
 
 def place_uavs(
@@ -309,23 +301,22 @@ def build_rteg(
         LinkKind.S2S: ranges.s2s_m,
         LinkKind.S2G: ranges.s2g_m,
     }
-    rteg = Rteg(slot_count, slot_seconds, nodes, positions)
-    for t in range(1, slot_count + 1):
-        slot_links = []
-        for a in nodes:
-            for b in nodes:
-                if a.node_id == b.node_id:
-                    continue
-                kind = _LINK_KINDS.get((a.kind, b.kind))
-                if kind is None:
-                    continue
-                d = np.linalg.norm(positions[a.node_id, t - 1] - positions[b.node_id, t - 1])
-                if d <= limit[kind]:
-                    link = Link(a.node_id, b.node_id, kind)
-                    slot_links.append(link)
-                    rteg._link_index[(a.node_id, b.node_id, t)] = link
-        rteg.links[t] = slot_links
-    return rteg
+    n = len(nodes)
+    node_kind = np.array([node.kind for node in nodes], dtype=object)
+    # per (src, dst) pair: the link kind code and its range limit
+    pair_code = np.full((n, n), -1, dtype=np.int8)
+    pair_limit = np.full((n, n), -np.inf)
+    for (src_kind, dst_kind), kind in _LINK_KINDS.items():
+        cell = np.outer(node_kind == src_kind, node_kind == dst_kind)
+        pair_code[cell] = LINK_KINDS.index(kind)
+        pair_limit[cell] = limit[kind]
+    np.fill_diagonal(pair_code, -1)  # no self links: storage across slots is implicit
+    by_slot = positions.transpose(1, 0, 2)  # (slot, node, xyz)
+    diff = by_slot[:, :, None] - by_slot[:, None]
+    # vecdot is the per-vector dot product np.linalg.norm takes, so distances match it exactly
+    distances = np.sqrt(np.vecdot(diff, diff))
+    kinds = np.where(distances <= pair_limit, pair_code, np.int8(-1))
+    return Rteg(slot_count, slot_seconds, nodes, positions, distances, kinds)
 
 
 def build_topology(cfg: ScenarioConfig, rng: np.random.Generator, energy_budgets: tuple) -> Rteg:

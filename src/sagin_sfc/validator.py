@@ -29,10 +29,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .energy import compute_energy_j, transfer_energy_j, uav_hover_power_w, uav_slot_energy_j
-from .topology import LinkKind, NodeKind
+from .energy import compute_energy_j, fixed_energy_j, link_powers_w, transfer_charges
+from .topology import NodeKind
 from .workload import vnf_process_slots
 
 _REL_TOL = 1e-9
@@ -196,8 +194,8 @@ def check_schedule(log, instance, horizon: int | None = None) -> list:
         spans = _spans(chain, instance)
         x_slots = {(node, s) for _v, node, lo, hi in spans for s in range(lo, hi + 1)}
         for node, lo, hi in intervals:
-            if hi is None:
-                continue
+            if hi is None or not 0 <= node < instance.rteg.node_count:
+                continue  # a transfer to an unknown node is flagged as over an absent link
             if instance.rteg.nodes[node].kind is NodeKind.GROUND:
                 continue
             for s in range(lo, hi + 1):
@@ -329,57 +327,19 @@ def check_schedule(log, instance, horizon: int | None = None) -> list:
     return out
 
 
-def fixed_energy_by_node(instance, horizon: int) -> dict:
-    """Unavoidable burn: hover/movement for UAVs, per-slot upkeep for satellites."""
-    rteg = instance.rteg
-    tau = rteg.slot_seconds
-    fixed = {}
-    for n in rteg.nodes:
-        if n.kind is NodeKind.UAV:
-            hover = uav_hover_power_w(n.mass_kg, n.rotor_radius_m, n.rotor_count,
-                                      instance.gravity_mps2, instance.air_density_kg_m3)
-            total = 0.0
-            for t in range(1, horizon + 1):
-                prev = rteg.position(n.node_id, max(t - 1, 1))
-                here = rteg.position(n.node_id, t)
-                disp = float(np.linalg.norm(here - prev))
-                total += uav_slot_energy_j(disp / tau, n.max_speed_mps, n.max_power_w,
-                                           hover, disp, tau)
-            fixed[n.node_id] = total
-        elif n.kind is NodeKind.SATELLITE:
-            fixed[n.node_id] = instance.e_op_sat_j_per_slot * horizon
-    return fixed
-
-
-_TX_POWER = {
-    LinkKind.G2U: None,  # ground stations are not energy tracked
-    LinkKind.U2G: "p_tr_u_w",
-    LinkKind.U2U: "p_uu_w",
-    LinkKind.U2S: "p_us_w",
-    LinkKind.S2S: "p_ss_w",
-    LinkKind.S2G: "p_sg_w",
-}
-_RX_POWER = {LinkKind.U2S: "p_re_us_w", LinkKind.S2S: "p_re_ss_w"}
-
-
 def _energy_replay(chains: dict, instance, horizon: int):
-    spent = fixed_energy_by_node(instance, horizon)
+    spent = fixed_energy_j(instance, horizon)
+    powers = link_powers_w(instance)
     rteg = instance.rteg
     for k, chain in sorted(chains.items()):
         delta = chain.request.delta_bits
         for t, src, dst, dur, _share in chain.zs:
-            link = rteg.link(src, dst, t)
-            if link is None or not instance.rates.has(src, dst, t):
+            kind = rteg.link(src, dst, t)
+            if kind is None or not instance.rates.has(src, dst, t):
                 continue  # flagged as flow-continuity already
             rate = instance.rates.rate_bps(src, dst, t)
-            tx_attr = _TX_POWER[link.kind]
-            if tx_attr is not None:
-                spent[src] = spent.get(src, 0.0) + transfer_energy_j(
-                    getattr(instance, tx_attr), delta, rate)
-            rx_attr = _RX_POWER.get(link.kind)
-            if rx_attr is not None:
-                spent[dst] = spent.get(dst, 0.0) + transfer_energy_j(
-                    getattr(instance, rx_attr), delta, rate)
+            for node, joules in transfer_charges(powers, kind, src, dst, delta, rate):
+                spent[node] = spent.get(node, 0.0) + joules
         for vnf, node, t in chain.xs:
             if not 1 <= vnf <= chain.request.length:
                 continue

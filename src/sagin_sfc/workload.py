@@ -61,19 +61,23 @@ def generate_workload(
     return requests
 
 
-_CSV_HEADER = ["k", "l_k", "delta_bits", "deadline_slots", "origin", "dest",
-               "sigma_1", "sigma_2", "sigma_3"]
+_CSV_FIELDS = ["k", "l_k", "delta_bits", "deadline_slots", "origin", "dest"]
+
+
+def _csv_header(sigma_columns: int) -> list:
+    return _CSV_FIELDS + [f"sigma_{i}" for i in range(1, sigma_columns + 1)]
 
 
 def write_requests_csv(path: str, requests: list) -> None:
+    """One row per chain; at least three sigma columns, more for longer chains."""
+    columns = max([3] + [r.length for r in requests])
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(_CSV_HEADER)
+        writer.writerow(_csv_header(columns))
         for r in requests:
-            sigmas = list(r.sigmas_bits) + [""] * (3 - len(r.sigmas_bits))
             writer.writerow(
                 [r.k, r.length, repr(r.delta_bits), r.deadline_slots, r.origin, r.dest]
-                + [repr(s) if s != "" else "" for s in sigmas]
+                + [repr(s) for s in r.sigmas_bits] + [""] * (columns - r.length)
             )
 
 
@@ -81,10 +85,14 @@ def load_requests_csv(path: str) -> list:
     requests = []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames != _CSV_HEADER:
-            raise ValueError(f"request header must be {','.join(_CSV_HEADER)}")
+        names = reader.fieldnames or []
+        columns = len(names) - len(_CSV_FIELDS)
+        if columns < 1 or names != _csv_header(columns):
+            raise ValueError(f"request header must be {','.join(_CSV_FIELDS)},sigma_1..sigma_m")
         for row in reader:
             length = int(row["l_k"])
+            if not 1 <= length <= columns:
+                raise ValueError(f"chain {row['k']}: l_k {length} outside the sigma columns")
             sigmas = [float(row[f"sigma_{i}"]) for i in range(1, length + 1)]
             requests.append(
                 SfcRequest(

@@ -3,7 +3,9 @@
 Two families of fixtures-by-function live here: a three-node corridor
 (ground -> UAV -> ground) whose every rate and duration can be read off the
 instance for exact step-level assertions, and randomized tiny instances
-small enough for the exhaustive solver.
+small enough for the exhaustive solver. Beside them sit the scalar
+references the array code is checked against: the per-pair link build, the
+link-scan action mask, and the MSE loss used to check backprop.
 """
 
 from __future__ import annotations
@@ -12,8 +14,9 @@ import numpy as np
 
 from sagin_sfc.channel import LinkRateTable, RadioConstants
 from sagin_sfc.config import RunConfig
+from sagin_sfc.env import VnfPhase
 from sagin_sfc.scenario import _instance_from_parts
-from sagin_sfc.topology import NodeKind, NodeSpec, build_rteg
+from sagin_sfc.topology import _LINK_KINDS, LinkKind, NodeKind, NodeSpec, build_rteg
 from sagin_sfc.workload import SfcRequest
 
 G0, U1, G1 = 0, 1, 2
@@ -114,3 +117,53 @@ def run_random_episode(env, rng: np.random.Generator) -> int:
     while not env.episode_over:
         env.step(random_policy_actions(env, rng))
     return env.objective()
+
+
+def reference_links(nodes: list, positions: np.ndarray, slot_count: int, ranges) -> dict:
+    """slot -> [(src, dst, LinkKind)], built pair by pair with np.linalg.norm."""
+    limit = {
+        LinkKind.G2U: ranges.g2u_m, LinkKind.U2G: ranges.u2g_m, LinkKind.U2U: ranges.u2u_m,
+        LinkKind.U2S: ranges.u2s_m, LinkKind.S2S: ranges.s2s_m, LinkKind.S2G: ranges.s2g_m,
+    }
+    links = {}
+    for t in range(1, slot_count + 1):
+        links[t] = []
+        for a in nodes:
+            for b in nodes:
+                if a.node_id == b.node_id:
+                    continue
+                kind = _LINK_KINDS.get((a.kind, b.kind))
+                if kind is None:
+                    continue
+                d = np.linalg.norm(positions[a.node_id, t - 1] - positions[b.node_id, t - 1])
+                if d <= limit[kind]:
+                    links[t].append((a.node_id, b.node_id, kind))
+    return links
+
+
+def reference_action_mask(env, k: int, links: dict) -> np.ndarray:
+    """The action mask by a scan over the slot's links (see reference_links)."""
+    s = env.sfcs[k]
+    mask = np.zeros(env.rteg.node_count, dtype=bool)
+    mask[s.node] = True
+    if s.phase is VnfPhase.TRANSMITTING and s.t_c > 1:
+        return mask
+    for src, dst, _kind in links[env.slot]:
+        if src != s.node:
+            continue
+        if env.rteg.nodes[dst].kind in (NodeKind.UAV, NodeKind.SATELLITE):
+            mask[dst] = True
+        elif s.vnf_index > s.request.length and dst == s.request.dest:
+            mask[dst] = True
+    return mask
+
+
+def mse_loss_and_grads(net, x: np.ndarray, y: np.ndarray) -> tuple:
+    """Mean squared error over all outputs, with parameter gradients."""
+    out, cache = net.forward_cached(x)
+    target = np.atleast_2d(np.asarray(y, dtype=float))
+    diff = out - target
+    loss = float(np.mean(diff**2))
+    grad_out = 2.0 * diff / diff.size
+    grad_w, grad_b = net.backward(cache, grad_out)
+    return loss, grad_w + grad_b

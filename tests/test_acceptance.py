@@ -37,13 +37,13 @@ from sagin_sfc.energy import (
 )
 from sagin_sfc.env import SaginEnv
 from sagin_sfc.learn import evaluate_greedy, make_agent, train
-from sagin_sfc.net import DenseNet, mse_loss_and_grads
+from sagin_sfc.net import DenseNet
 from sagin_sfc.oracle import solve_exact
 from sagin_sfc.scenario import build_instance
 from sagin_sfc.topology import orbit_period_s
 from sagin_sfc.validator import check_schedule, objective_value
 
-from helpers import run_random_episode, tiny_run_config
+from helpers import mse_loss_and_grads, run_random_episode, tiny_run_config
 from mutations import mutation_cases
 
 SEEDS = (1, 2, 3, 4, 5)

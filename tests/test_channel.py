@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from sagin_sfc.channel import (
@@ -170,13 +171,13 @@ def test_rate_table_matches_direct_evaluation():
     rteg, rates = inst.rteg, inst.rates
     k = RadioConstants.from_config(inst.config.radio)
     for t in (1, rteg.slot_count):
-        for link in rteg.links[t]:
-            d = rteg.distance(link.src, link.dst, t)
-            assert rates.has(link.src, link.dst, t)
-            assert rates.rate_bps(link.src, link.dst, t) == pytest.approx(
-                link_rate_bps(link.kind, d, k), rel=1e-12
+        for src, dst in np.argwhere(rteg.kinds[t - 1] >= 0).tolist():
+            d = np.linalg.norm(rteg.position(src, t) - rteg.position(dst, t))
+            assert rates.has(src, dst, t)
+            assert rates.rate_bps(src, dst, t) == pytest.approx(
+                link_rate_bps(rteg.link(src, dst, t), d, k), rel=1e-12
             )
-            assert rates.slot_bits(link.src, link.dst, t) == pytest.approx(
-                rates.rate_bps(link.src, link.dst, t) * rteg.slot_seconds, rel=1e-12
+            assert rates.slot_bits(src, dst, t) == pytest.approx(
+                rates.rate_bps(src, dst, t) * rteg.slot_seconds, rel=1e-12
             )
     assert not rates.has(0, 2, 1)  # no ground-to-ground entry

@@ -164,7 +164,16 @@ def test_exit_code_two_on_bad_inputs(tmp_path, capsys):
     # exact solving a full-size scenario must refuse, not hang
     assert _run("solve-exact", "--config", "configs/default.yaml",
                 "--out-dir", str(tmp_path)) == 2
-    assert capsys.readouterr().err.count("error:") == 6
+    # settings that only fail together, or deep inside a run
+    for sets in (["scenario.satellite_orbits=[{altitude_m: 5e5}]"],  # tiny has no satellite
+                 ["workload.vnf_min=3", "workload.vnf_max=2"],
+                 ["scenario.slot_count=0"],
+                 ["agent.discount=1.0"]):
+        argv = ["run", "--config", TINY, "--out-dir", str(tmp_path)]
+        for pair in sets:
+            argv += ["--set", pair]
+        assert _run(*argv) == 2, sets
+    assert capsys.readouterr().err.count("error:") == 10
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

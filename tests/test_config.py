@@ -9,6 +9,7 @@ import pytest
 from sagin_sfc.config import (
     SEED_ENV_VAR,
     ConfigError,
+    OrbitConfig,
     apply_overrides,
     config_dict,
     default_config,
@@ -100,6 +101,16 @@ def test_apply_overrides_each_type():
     assert cfg.agent.kind == "dqn"
     assert cfg.run.measure_wall_time is True
     assert cfg.scenario.range_limits.g2u_m == 99.0
+
+
+def test_apply_overrides_builds_orbits():
+    cfg = apply_overrides(default_config(), [
+        "scenario.satellite_count=1",
+        "scenario.satellite_orbits=[{altitude_m: 5e5}]",
+    ])
+    assert cfg.scenario.satellite_orbits == [OrbitConfig(altitude_m=5e5)]
+    with pytest.raises(ConfigError, match="unknown keys"):
+        apply_overrides(default_config(), ["scenario.satellite_orbits=[{altitud_m: 5e5}]"])
 
 
 def test_apply_overrides_rejects_unknown_and_malformed():

@@ -5,7 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from sagin_sfc.net import Adadelta, Adam, DenseNet, make_optimizer, mse_loss_and_grads
+from sagin_sfc.net import Adadelta, Adam, DenseNet, make_optimizer
+
+from helpers import mse_loss_and_grads
 
 
 def _net(sizes=(6, 16, 4), seed=0) -> DenseNet:
@@ -84,16 +86,6 @@ def test_clone_and_copy_from_are_detached():
     assert not np.allclose(net.forward(x), twin.forward(x))
     twin.copy_from(net)
     assert np.allclose(net.forward(x), twin.forward(x))
-
-
-def test_save_load_round_trip(tmp_path):
-    net = _net((6, 16, 4), seed=9)
-    path = str(tmp_path / "net.npz")
-    net.save(path)
-    back = DenseNet.load(path)
-    assert back.sizes == net.sizes
-    x = np.random.default_rng(2).normal(size=(3, 6))
-    assert np.array_equal(back.forward(x), net.forward(x))
 
 
 def _train_to_fit(opt_name: str) -> float:

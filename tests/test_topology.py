@@ -7,7 +7,10 @@ import math
 import numpy as np
 import pytest
 
-from sagin_sfc.config import OrbitConfig, RangeLimits, ScenarioConfig
+from sagin_sfc.channel import RadioConstants, link_rate_bps
+from sagin_sfc.config import OrbitConfig, RangeLimits, ScenarioConfig, load_config
+from sagin_sfc.env import SaginEnv
+from sagin_sfc.scenario import build_instance
 from sagin_sfc.topology import (
     EARTH_MU,
     EARTH_RADIUS_M,
@@ -18,14 +21,20 @@ from sagin_sfc.topology import (
     build_positions,
     build_rteg,
     build_topology,
-    links_at,
     load_satellite_trace,
     orbit_period_s,
     place_uavs,
     propagate_satellite,
 )
 
-from helpers import corridor_instance
+from helpers import (
+    U1,
+    corridor_instance,
+    random_policy_actions,
+    reference_action_mask,
+    reference_links,
+    tiny_run_config,
+)
 
 
 def test_orbit_period_kepler():
@@ -90,10 +99,15 @@ def _corridor_rteg() -> Rteg:
     return corridor_instance().rteg
 
 
+def _links(rteg: Rteg, slot: int) -> list:
+    """(src, dst) of every link present in a slot."""
+    return [tuple(pair) for pair in np.argwhere(rteg.kinds[slot - 1] >= 0).tolist()]
+
+
 def test_link_kinds_directed():
     rteg = _corridor_rteg()
-    assert rteg.link(0, 1, 1).kind is LinkKind.G2U
-    assert rteg.link(1, 0, 1).kind is LinkKind.U2G
+    assert rteg.link(0, 1, 1) is LinkKind.G2U
+    assert rteg.link(1, 0, 1) is LinkKind.U2G
     assert rteg.link(0, 2, 1) is None  # no ground-to-ground hop
     # full scene: satellite never transmits down to a UAV
     sc = ScenarioConfig(uav_count=2, satellite_count=1,
@@ -102,9 +116,9 @@ def test_link_kinds_directed():
     uavs = rteg2.nodes_of_kind(NodeKind.UAV)
     sats = rteg2.nodes_of_kind(NodeKind.SATELLITE)
     for t in range(1, 5):
-        for link in links_at(rteg2, t):
-            assert not (link.src in sats and link.dst in uavs)
-    kinds = {l.kind for l in links_at(rteg2, 1)}
+        for src, dst in _links(rteg2, t):
+            assert not (src in sats and dst in uavs)
+    kinds = {rteg2.link(src, dst, 1) for src, dst in _links(rteg2, 1)}
     assert {LinkKind.G2U, LinkKind.U2G, LinkKind.U2U, LinkKind.U2S, LinkKind.S2G} <= kinds
 
 
@@ -119,20 +133,23 @@ def test_range_limit_cuts_links():
     assert far.link(1, 0, 1) is not None  # u2g range untouched
 
 
-def test_storage_links_uav_sat_only_before_horizon():
-    rteg = _corridor_rteg()
-    T = rteg.slot_count
-    assert rteg.storage_links(1) == [1]  # the UAV, not the ground stations
-    assert rteg.storage_links(T - 1) == [1]
-    assert rteg.storage_links(T) == []
-
-
-def test_links_at_rejects_bad_slot():
-    rteg = _corridor_rteg()
-    with pytest.raises(ValueError):
-        links_at(rteg, 0)
-    with pytest.raises(ValueError):
-        links_at(rteg, rteg.slot_count + 1)
+def test_link_lookups_reject_out_of_range():
+    inst = corridor_instance()
+    rteg, rates = inst.rteg, inst.rates
+    T, N = rteg.slot_count, rteg.node_count
+    assert rates.has(0, 1, 1) and rates.has(0, 1, T)
+    for slot in (0, T + 1):
+        assert not rates.has(0, 1, slot)
+        assert rteg.link(0, 1, slot) is None
+    # node ids outside 0..N-1 must not wrap onto the last node (U1 -> G1 exists)
+    assert rates.has(U1, N - 1, 1)
+    for src, dst in ((U1, -1), (U1, N), (-1, U1), (N, U1)):
+        assert not rates.has(src, dst, 1)
+        assert rteg.link(src, dst, 1) is None
+    with pytest.raises(KeyError):
+        rates.slot_bits(U1, -1, 1)
+    with pytest.raises(KeyError):
+        rates.rate_bps(0, 1, 0)
 
 
 def test_build_positions_orbit_count_mismatch():
@@ -202,3 +219,42 @@ def test_topology_deterministic_per_seed():
 def test_earth_constants():
     assert EARTH_RADIUS_M == 6.371e6
     assert EARTH_MU == 3.986004418e14
+
+
+def _property_instances():
+    rng = np.random.default_rng(2024)
+    for name in ("tiny", "desk"):
+        cfg = load_config(f"configs/{name}.yaml")
+        for seed in rng.integers(1, 10_000, size=2).tolist():
+            yield pytest.param(cfg, seed, id=f"{name}-{seed}")
+    for i in range(4):
+        yield pytest.param(tiny_run_config(rng), int(rng.integers(1, 10_000)),
+                           id=f"random-tiny-{i}")
+
+
+@pytest.mark.parametrize("cfg,seed", list(_property_instances()))
+def test_array_graph_matches_scalar_reference(cfg, seed):
+    inst = build_instance(cfg, seed)
+    rteg, rates = inst.rteg, inst.rates
+    links = reference_links(rteg.nodes, rteg.positions, rteg.slot_count,
+                            cfg.scenario.range_limits)
+    # (a) the same typed links
+    expected = {(t, src, dst, kind) for t, slot in links.items() for src, dst, kind in slot}
+    got = {(t + 1, src, dst, rteg.link(src, dst, t + 1))
+           for t, src, dst in np.argwhere(rteg.kinds >= 0).tolist()}
+    assert got == expected
+    # (b) every rate as the scalar formula gives it
+    k = RadioConstants.from_config(cfg.radio)
+    for t, src, dst, kind in expected:
+        d = np.linalg.norm(rteg.positions[src, t - 1] - rteg.positions[dst, t - 1])
+        assert rates.rate_bps(src, dst, t) == pytest.approx(
+            link_rate_bps(kind, d, k), rel=1e-12)
+    # (c) the same masks along random-policy episodes
+    env = SaginEnv(inst)
+    policy = np.random.default_rng(seed)
+    for _episode in range(2):
+        env.reset()
+        while not env.episode_over:
+            for c in env.active_sfcs():
+                assert np.array_equal(env.action_mask(c), reference_action_mask(env, c, links))
+            env.step(random_policy_actions(env, policy))

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from sagin_sfc.env import ScheduleLog
+from sagin_sfc.scenario import SHOWCASE_S4, SHOWCASE_S5, SHOWCASE_U2
 from sagin_sfc.validator import Violation, check_schedule, objective_value
 
 from mutations import MUTATIONS, mutation_cases, showcase_feasible
@@ -74,6 +75,36 @@ def test_transfer_over_absent_link_is_flow_continuity():
     log.add_z(1, 0, 1, 1, 1, 4e7)  # no ground-to-ground link exists, ever
     families = {v.family for v in check_schedule(log, instance)}
     assert families == {"flow-continuity"}
+
+
+def test_transfer_ids_out_of_range_never_wrap():
+    _log, instance = showcase_feasible()
+    rteg = instance.rteg
+    T, N = rteg.slot_count, rteg.node_count
+    assert SHOWCASE_S5 == N - 1  # a wrapped -1 would read the last node's links
+    assert rteg.link(SHOWCASE_S5, SHOWCASE_S4, 9) is not None
+    assert rteg.link(SHOWCASE_U2, SHOWCASE_S5, T) is not None  # slot 0 would wrap onto T
+    cases = [
+        (-1, SHOWCASE_S4, 9),  # from node -1
+        (SHOWCASE_U2, N, 9),  # to node N
+        (SHOWCASE_U2, SHOWCASE_S5, 0),
+        (SHOWCASE_U2, SHOWCASE_S5, T + 1),
+    ]
+    for src, dst, t in cases:
+        assert not instance.rates.has(src, dst, t)
+        assert rteg.link(src, dst, t) is None
+        log, _ = showcase_feasible()
+        log.add_z(1, src, dst, t, 1, 4e7)
+        violations = check_schedule(log, instance)
+        assert {v.family for v in violations} == {"flow-continuity"}, (src, dst, t)
+        assert any(v.link == (src, dst) and ("absent link" in v.message
+                                             or "outside the horizon" in v.message)
+                   for v in violations), (src, dst, t)
+    # mid-chain, the unknown node also opens a presence window, which is not looked up
+    log, _ = showcase_feasible()
+    log.add_z(1, SHOWCASE_U2, N, 4, 1, 4e7)
+    violations = check_schedule(log, instance)
+    assert any(v.link == (SHOWCASE_U2, N) and "absent link" in v.message for v in violations)
 
 
 def test_malformed_records_rejected(showcase_instance):

@@ -69,6 +69,16 @@ def test_csv_round_trip_exact(tmp_path):
     assert header == "k,l_k,delta_bits,deadline_slots,origin,dest,sigma_1,sigma_2,sigma_3"
     back = load_requests_csv(str(path))
     assert back == reqs  # repr() serialisation keeps every float bit-exact
+    # chains longer than three VNFs widen the header
+    cfg = _cfg(count=10)
+    cfg.vnf_max = 4
+    long_reqs = generate_workload(cfg, [0, 1], np.random.default_rng(3))
+    assert max(r.length for r in long_reqs) == 4
+    write_requests_csv(str(path), long_reqs)
+    header = path.read_text().splitlines()[0]
+    assert header == ("k,l_k,delta_bits,deadline_slots,origin,dest,"
+                      "sigma_1,sigma_2,sigma_3,sigma_4")
+    assert load_requests_csv(str(path)) == long_reqs
 
 
 def test_csv_short_chain_leaves_trailing_columns_empty(tmp_path):
