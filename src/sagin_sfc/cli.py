@@ -191,7 +191,10 @@ def cmd_validate(args) -> int:
     except (ValueError, KeyError) as exc:
         raise ConfigError(f"malformed schedule log {args.log!r}: {exc}") from exc
     instance = build_instance(cfg, cfg.run.seed)
-    violations = check_schedule(log, instance, horizon=cfg.run.step_cap)
+    try:
+        violations = check_schedule(log, instance, horizon=cfg.run.step_cap)
+    except ValueError as exc:
+        raise ConfigError(f"malformed schedule log {args.log!r}: {exc}") from exc
     objective = objective_value(log, instance)
     if violations:
         for v in violations:

@@ -146,7 +146,6 @@ class AgentConfig:
     batch_size: int = 8
     updates_per_step: int = 1
     hidden_widths: list = field(default_factory=lambda: [64, 32, 32])
-    masked_targets: bool = True
     reward_c0: float = 1.0
     reward_c1: float = 0.1
     reward_c2: float = 0.2
@@ -312,8 +311,13 @@ def apply_overrides(cfg: RunConfig, pairs: list[str]) -> RunConfig:
             f.name for f in dataclasses.fields(target)
         }:
             raise ConfigError(f"unknown config path {dotted!r}")
-        value = _parse_literal(raw_value, getattr(target, leaf), dotted)
-        if leaf == "satellite_orbits":
+        current = getattr(target, leaf)
+        value = _parse_literal(raw_value, current, dotted)
+        sub = _NESTED.get((".".join(parts[:-1]), leaf))
+        if sub is not None:
+            merged = _merge(dataclasses.asdict(current), value, dotted)
+            value = _build_section(sub, merged, dotted)
+        elif leaf == "satellite_orbits":
             value = _build_orbits(value, dotted)
         setattr(target, leaf, value)
     return check_config(cfg)
@@ -336,7 +340,7 @@ def _parse_literal(raw: str, current: Any, path: str):
             return float(raw)
         except ValueError:
             raise ConfigError(f"{path}: expected a number, got {raw!r}") from None
-    if isinstance(current, (list, dict)):
+    if isinstance(current, (list, dict)) or dataclasses.is_dataclass(current):
         try:
             return yaml.safe_load(raw)
         except yaml.YAMLError:

@@ -44,22 +44,6 @@ class VnfPhase(IntEnum):
     STORED = 2
 
 
-def pending_transition(phase: VnfPhase, t_c: int, t_p: int, action: int, node: int) -> VnfPhase:
-    """Next-slot phase before contention resolution; the seven-case table."""
-    stay = action == node
-    if phase is VnfPhase.TRANSMITTING:
-        if t_c > 1:
-            return VnfPhase.TRANSMITTING  # the action has no effect mid-transfer
-        return VnfPhase.STORED if stay else VnfPhase.TRANSMITTING
-    if phase is VnfPhase.PROCESSING:
-        if not stay:
-            return VnfPhase.TRANSMITTING
-        return VnfPhase.PROCESSING if t_p > 1 else VnfPhase.STORED
-    if phase is VnfPhase.STORED:
-        return VnfPhase.STORED if stay else VnfPhase.TRANSMITTING
-    raise ValueError(f"uncovered phase/action combination: {phase}, t_c={t_c}, t_p={t_p}")
-
-
 def reward(t_c: float, t_w: float, c0: float, c1: float, c2: float) -> float:
     """Per-step return signal: base payoff minus transmit and wait penalties."""
     return c0 - c1 * t_c - c2 * t_w
@@ -163,9 +147,6 @@ class ScheduleLog:
 
     def add_indicator(self, k: int, value: int) -> None:
         self.records.append({"var": "I", "k": k, "value": value})
-
-    def of_var(self, var: str) -> list:
-        return [r for r in self.records if r["var"] == var]
 
     def to_jsonl(self) -> str:
         return "".join(json.dumps(r, sort_keys=True) + "\n" for r in self.records)

@@ -27,18 +27,9 @@ class TrainingDiverged(RuntimeError):
 # Replay memory and target rules
 # ---------------------------------------------------------------------------
 
-@dataclass
-class Transition:
-    obs: np.ndarray
-    action: int
-    reward: float
-    next_obs: np.ndarray | None
-    next_mask: np.ndarray | None
-    terminal: bool
-
-
 class ReplayMemory:
-    """Fixed-capacity ring; uniform sampling without replacement."""
+    """Fixed-capacity ring of (obs, action, reward, next_obs, next_mask, terminal)
+    tuples; uniform sampling without replacement."""
 
     def __init__(self, capacity: int):
         if capacity < 1:
@@ -47,7 +38,7 @@ class ReplayMemory:
         self._items: list = []
         self._cursor = 0
 
-    def push(self, item: Transition) -> None:
+    def push(self, item: tuple) -> None:
         if len(self._items) < self.capacity:
             self._items.append(item)
         else:
@@ -63,44 +54,37 @@ class ReplayMemory:
         return len(self._items)
 
 
-def masked_q(q: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
-    """Invalid actions pushed to -inf so max/argmax never picks them."""
-    if mask is None:
-        return q
-    out = np.where(mask, q, -np.inf)
-    if not np.any(mask):
+def masked_argmax(q: np.ndarray, mask: np.ndarray):
+    """Best allowed action per row (ties to the lowest index)."""
+    if not mask.any(axis=-1).all():
         raise ValueError("mask admits no action")
-    return out
+    return np.argmax(np.where(mask, q, -np.inf), axis=-1)
 
 
-def dqn_target(reward: float, gamma: float, terminal: bool,
-               next_q_target: np.ndarray | None,
-               next_mask: np.ndarray | None = None) -> float:
-    """One-step bootstrap where the target net both picks and scores."""
-    if terminal:
-        return reward
-    return reward + gamma * float(np.max(masked_q(next_q_target, next_mask)))
+def bootstrap_targets(reward: np.ndarray, terminal: np.ndarray, gamma: float,
+                      q_pick: np.ndarray, q_score: np.ndarray,
+                      mask: np.ndarray) -> np.ndarray:
+    """One-step targets: `q_pick` picks the masked next action, `q_score` scores it.
 
-
-def ddqn_target(reward: float, gamma: float, terminal: bool,
-                next_q_online: np.ndarray | None,
-                next_q_target: np.ndarray | None,
-                next_mask: np.ndarray | None = None) -> float:
-    """Double estimator: online net picks the action, target net scores it."""
-    if terminal:
-        return reward
-    best = int(np.argmax(masked_q(next_q_online, next_mask)))
-    return reward + gamma * float(next_q_target[best])
+    `reward`, `terminal` and `mask` cover the whole batch; `q_pick` and
+    `q_score` hold next-state values of its non-terminal rows, in batch order.
+    DQN passes the target net's values as both, DDQN lets the online net pick.
+    """
+    live = ~terminal
+    best = masked_argmax(q_pick, mask[live])
+    targets = reward.copy()
+    targets[live] += gamma * q_score[np.arange(best.size), best]
+    return targets
 
 
 def epsilon_greedy(q: np.ndarray, mask: np.ndarray, greediness: float,
                    rng: np.random.Generator) -> int:
     """Greedy with probability `greediness` (ties to lowest index), else uniform."""
+    if rng.random() < greediness:
+        return int(masked_argmax(q, mask))
     valid = np.flatnonzero(mask)
     if valid.size == 0:
         raise ValueError("mask admits no action")
-    if rng.random() < greediness:
-        return int(np.argmax(masked_q(q, mask)))
     return int(valid[rng.integers(valid.size)])
 
 
@@ -132,6 +116,9 @@ class DrlAgent:
                                         cfg.learning_rate)
         self.memory = ReplayMemory(cfg.replay_capacity)
         self.updates = 0
+        # what terminal rows store as next observation and mask, so batches stack
+        self._no_obs = np.zeros(obs_len)
+        self._any_action = np.ones(action_count, dtype=bool)
 
     def prepare(self, state: EnvState, k: int) -> np.ndarray:
         return encode_state(state, k)
@@ -142,8 +129,9 @@ class DrlAgent:
 
     def record(self, k: int, obs, action: int, reward: float, next_obs,
                next_mask, terminal: bool) -> None:
-        self.memory.push(Transition(obs, action, reward, next_obs, next_mask,
-                                    terminal))
+        if terminal:
+            next_obs, next_mask = self._no_obs, self._any_action
+        self.memory.push((obs, action, reward, next_obs, next_mask, terminal))
 
     def train_tick(self, rng: np.random.Generator) -> None:
         for _ in range(self.cfg.updates_per_step):
@@ -152,30 +140,15 @@ class DrlAgent:
             self._learn_batch(self.memory.sample(self.cfg.batch_size, rng))
 
     def _learn_batch(self, batch: list) -> None:
-        cfg = self.cfg
-        xs = np.stack([tr.obs for tr in batch])
-        targets = np.empty(len(batch))
-        nonterminal = [tr for tr in batch if not tr.terminal]
-        next_q_t = next_q_o = {}
-        if nonterminal:
-            nxt = np.stack([tr.next_obs for tr in nonterminal])
-            q_t = self.target.forward(nxt)
-            q_o = self.online.forward(nxt) if self.double else q_t
-            next_q_t = {id(tr): q_t[i] for i, tr in enumerate(nonterminal)}
-            next_q_o = {id(tr): q_o[i] for i, tr in enumerate(nonterminal)}
-        for i, tr in enumerate(batch):
-            mask = tr.next_mask if cfg.masked_targets else None
-            if self.double:
-                targets[i] = ddqn_target(tr.reward, cfg.discount, tr.terminal,
-                                         next_q_o.get(id(tr)), next_q_t.get(id(tr)),
-                                         mask)
-            else:
-                targets[i] = dqn_target(tr.reward, cfg.discount, tr.terminal,
-                                        next_q_t.get(id(tr)), mask)
-        out, cache = self.online.forward_cached(xs)
+        obs, acts, rewards, next_obs, next_masks, terminal = map(np.array, zip(*batch))
+        live_next = next_obs[~terminal]
+        q_score = self.target.forward(live_next)
+        q_pick = self.online.forward(live_next) if self.double else q_score
+        targets = bootstrap_targets(rewards, terminal, self.cfg.discount, q_pick,
+                                    q_score, next_masks)
+        out, cache = self.online.forward_cached(obs)
         grad_out = np.zeros_like(out)
         rows = np.arange(len(batch))
-        acts = np.array([tr.action for tr in batch])
         diff = out[rows, acts] - targets
         loss = float(np.mean(diff**2))
         if not np.isfinite(loss):
@@ -239,9 +212,8 @@ class TabularAgent:
         if self.kind == "qlearning":
             target = reward
             if not terminal:
-                target += self.cfg.discount * float(
-                    np.max(masked_q(self._row(next_key), next_mask))
-                )
+                row = self._row(next_key)
+                target += self.cfg.discount * float(row[masked_argmax(row, next_mask)])
             self._bump(key, action, target)
         elif terminal:
             self._bump(key, action, reward)
@@ -274,31 +246,34 @@ class MetricRecord:
 
 def run_episode(env, agent, greediness: float, rng: np.random.Generator,
                 learn: bool = True) -> tuple:
-    """One full episode; returns (mean reward per chain, completed, utilization)."""
-    env.reset()
+    """One full episode; returns (mean reward per chain, completed, utilization).
+
+    Each slot reads the state once and prepares each active chain's
+    observation and mask once; a non-terminal record's next observation and
+    mask are the very objects the chain acts on in the following slot.
+    """
+    state = env.reset()
+    masks = env.masks()
+    obs = {k: agent.prepare(state, k) for k in masks}
     total = 0.0
     while not env.episode_over:
-        state = env.state()
-        active = env.active_sfcs()
-        prepared, actions = {}, {}
-        for k in active:
-            prepared[k] = agent.prepare(state, k)
-            actions[k] = agent.act(k, prepared[k], env.action_mask(k),
-                                   greediness, rng)
+        actions = {k: agent.act(k, obs[k], mask, greediness, rng)
+                   for k, mask in masks.items()}
         result = env.step(actions)
-        next_state = None if env.episode_over else env.state()
-        for k in active:
+        acted_obs = obs
+        if not env.episode_over:  # otherwise every chain just finished
+            state = env.state()
+            masks = env.masks()
+            obs = {k: agent.prepare(state, k) for k in masks}
+        for k, action in actions.items():
             reward_k = result.rewards[k]
             total += reward_k
             if not learn:
                 continue
-            terminal = result.done_flags[k] is not None
-            if terminal:
-                agent.record(k, prepared[k], actions[k], reward_k, None, None, True)
+            if result.done_flags[k] is None:
+                agent.record(k, acted_obs[k], action, reward_k, obs[k], masks[k], False)
             else:
-                agent.record(k, prepared[k], actions[k], reward_k,
-                             agent.prepare(next_state, k), env.action_mask(k),
-                             False)
+                agent.record(k, acted_obs[k], action, reward_k, None, None, True)
         if learn:
             agent.train_tick(rng)
     return total / len(env.sfcs), env.objective(), env.utilization()

@@ -9,7 +9,8 @@ Ten independent constraint families, each tagged on its violations:
                       or data departing before its processing finished
   flow-continuity     broken transfer chains: wrong origin/destination, gaps
                       in node presence, records at nodes the chain never
-                      occupies, transfers over absent links
+                      occupies, transfers over absent links, records at
+                      nodes the instance lacks
   phase-exclusive     one chain simultaneously in transit, processing, or
                       stored in the same slot
   compute-capacity    per node-slot resident VNF sizes above capacity
@@ -67,32 +68,42 @@ class _Chain:
     zs: list  # (t, src, dst, dur, share_bits) multiset, sorted by t
     ys: set  # {(node, t)}
     rhos: list  # (node, t) multiset
+    strays: list  # (var, node, t) of x/y/rho records at nodes the instance lacks
     logged_indicator: int | None = None
 
 
 def _parse(log, instance) -> dict:
+    """Records grouped by chain; ValueError on any record of the wrong shape."""
     by_k = {
-        r.k: _Chain(request=r, xs=[], zs=[], ys=set(), rhos=[])
+        r.k: _Chain(request=r, xs=[], zs=[], ys=set(), rhos=[], strays=[])
         for r in instance.requests
     }
+    node_count = instance.rteg.node_count
     for rec in log.records:
-        var = rec.get("var")
-        k = rec.get("k")
-        if var not in ("x", "y", "z", "rho", "I") or k not in by_k:
-            raise ValueError(f"malformed record: {rec}")
-        chain = by_k[k]
-        if var == "x":
-            chain.xs.append((int(rec["vnf"]), int(rec["node"]), int(rec["t"])))
-        elif var == "y":
-            chain.ys.add((int(rec["node"]), int(rec["t"])))
-        elif var == "z":
-            src, dst = rec["link"]
-            chain.zs.append((int(rec["t"]), int(src), int(dst), int(rec["dur"]),
-                             float(rec["share_bits"])))
-        elif var == "rho":
-            chain.rhos.append((int(rec["node"]), int(rec["t"])))
-        else:
-            chain.logged_indicator = int(rec["value"])
+        try:
+            chain = by_k[rec["k"]]
+            var = rec["var"]
+            if var == "z":
+                src, dst = rec["link"]
+                chain.zs.append((int(rec["t"]), int(src), int(dst), int(rec["dur"]),
+                                 float(rec["share_bits"])))
+            elif var == "I":
+                chain.logged_indicator = int(rec["value"])
+            elif var in ("x", "y", "rho"):
+                vnf = int(rec["vnf"]) if var == "x" else None
+                node, t = int(rec["node"]), int(rec["t"])
+                if not 0 <= node < node_count:
+                    chain.strays.append((var, node, t))
+                elif var == "x":
+                    chain.xs.append((vnf, node, t))
+                elif var == "y":
+                    chain.ys.add((node, t))
+                else:
+                    chain.rhos.append((node, t))
+            else:
+                raise ValueError(var)
+        except (AttributeError, KeyError, TypeError, ValueError):
+            raise ValueError(f"malformed record: {rec}") from None
     for chain in by_k.values():
         chain.zs.sort()
         chain.xs.sort()
@@ -165,6 +176,10 @@ def check_schedule(log, instance, horizon: int | None = None) -> list:
         req = chain.request
         unique_z = sorted(set(chain.zs))
         intervals = _intervals(chain)
+
+        for var, node, t in chain.strays:
+            flag("flow-continuity", f"{var} record at a node the instance lacks",
+                 k=k, node=node, slot=t)
 
         # transfer chain: origin, continuity, link existence, bounds
         for i, (t, src, dst, dur, share) in enumerate(unique_z):

@@ -5,7 +5,8 @@ Two families of fixtures-by-function live here: a three-node corridor
 instance for exact step-level assertions, and randomized tiny instances
 small enough for the exhaustive solver. Beside them sit the scalar
 references the array code is checked against: the per-pair link build, the
-link-scan action mask, and the MSE loss used to check backprop.
+link-scan action mask, the MSE loss used to check backprop, and the one-row
+DQN/DDQN bootstrap targets.
 """
 
 from __future__ import annotations
@@ -167,3 +168,34 @@ def mse_loss_and_grads(net, x: np.ndarray, y: np.ndarray) -> tuple:
     grad_out = 2.0 * diff / diff.size
     grad_w, grad_b = net.backward(cache, grad_out)
     return loss, grad_w + grad_b
+
+
+def masked_q(q: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Invalid actions pushed to -inf so max/argmax never picks them."""
+    out = np.where(mask, q, -np.inf)
+    if not np.any(mask):
+        raise ValueError("mask admits no action")
+    return out
+
+
+def dqn_target(reward: float, gamma: float, terminal: bool,
+               next_q_target: np.ndarray | None, next_mask: np.ndarray | None) -> float:
+    """One-step bootstrap where the target net both picks and scores."""
+    if terminal:
+        return reward
+    return reward + gamma * float(np.max(masked_q(next_q_target, next_mask)))
+
+
+def ddqn_target(reward: float, gamma: float, terminal: bool,
+                next_q_online: np.ndarray | None, next_q_target: np.ndarray | None,
+                next_mask: np.ndarray | None) -> float:
+    """Double estimator: online net picks the action, target net scores it."""
+    if terminal:
+        return reward
+    best = int(np.argmax(masked_q(next_q_online, next_mask)))
+    return reward + gamma * float(next_q_target[best])
+
+
+def of_var(log, var: str) -> list:
+    """The log's records of one variable, in order."""
+    return [r for r in log.records if r["var"] == var]

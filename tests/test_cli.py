@@ -148,6 +148,13 @@ def test_validate_flags_infeasible_log(witness_dir, tmp_path, capsys):
     out = capsys.readouterr().out
     assert "infeasible" in out
     assert "unique-placement" in out
+    # a placement at a node the instance lacks is a violation, not a crash
+    cfg = load_config(TINY)
+    absent = build_instance(cfg, 1).rteg.node_count
+    stray = json.loads(duplicate) | {"node": absent}
+    corrupted.write_text(text + json.dumps(stray) + "\n")
+    assert _run("validate", str(corrupted), "--config", TINY) == 1
+    assert "node the instance lacks" in capsys.readouterr().out
 
 
 def test_exit_code_two_on_bad_inputs(tmp_path, capsys):
@@ -161,6 +168,11 @@ def test_exit_code_two_on_bad_inputs(tmp_path, capsys):
     garbage = tmp_path / "garbage.jsonl"
     garbage.write_text("not json\n")
     assert _run("validate", str(garbage), "--config", TINY) == 2
+    # well-formed JSON, but a record names no chain of the instance or lacks a key
+    for record in ({"var": "y", "k": 99, "node": 2, "t": 3, "value": 1},
+                   {"var": "x", "k": 1, "t": 3, "vnf": 1, "value": 1}):
+        garbage.write_text(json.dumps(record) + "\n")
+        assert _run("validate", str(garbage), "--config", TINY) == 2, record
     # exact solving a full-size scenario must refuse, not hang
     assert _run("solve-exact", "--config", "configs/default.yaml",
                 "--out-dir", str(tmp_path)) == 2
@@ -168,12 +180,13 @@ def test_exit_code_two_on_bad_inputs(tmp_path, capsys):
     for sets in (["scenario.satellite_orbits=[{altitude_m: 5e5}]"],  # tiny has no satellite
                  ["workload.vnf_min=3", "workload.vnf_max=2"],
                  ["scenario.slot_count=0"],
-                 ["agent.discount=1.0"]):
+                 ["agent.discount=1.0"],
+                 ["scenario.range_limits={g2u: 5.0}"]):
         argv = ["run", "--config", TINY, "--out-dir", str(tmp_path)]
         for pair in sets:
             argv += ["--set", pair]
         assert _run(*argv) == 2, sets
-    assert capsys.readouterr().err.count("error:") == 10
+    assert capsys.readouterr().err.count("error:") == 13
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -113,6 +113,15 @@ def test_apply_overrides_builds_orbits():
         apply_overrides(default_config(), ["scenario.satellite_orbits=[{altitud_m: 5e5}]"])
 
 
+def test_apply_overrides_builds_range_limits():
+    cfg = apply_overrides(default_config(), ["scenario.range_limits={g2u_m: 5.0}"])
+    assert cfg.scenario.range_limits == dataclasses.replace(
+        default_config().scenario.range_limits, g2u_m=5.0)
+    for bad in ("{g2u: 5.0}", "5", "{g2u_m: far}"):
+        with pytest.raises(ConfigError):
+            apply_overrides(default_config(), [f"scenario.range_limits={bad}"])
+
+
 def test_apply_overrides_rejects_unknown_and_malformed():
     with pytest.raises(ConfigError, match="unknown config path"):
         apply_overrides(default_config(), ["run.episodess=1"])

@@ -24,7 +24,6 @@ from sagin_sfc.env import (
     admit_contenders,
     encode_state,
     encoded_length,
-    pending_transition,
     reward,
 )
 from sagin_sfc.scenario import build_instance, itinerary_actions, run_itinerary
@@ -37,6 +36,7 @@ from helpers import (
     G1,
     U1,
     corridor_instance,
+    of_var,
     run_random_episode,
     tiny_run_config,
 )
@@ -45,21 +45,6 @@ T, P, S = VnfPhase.TRANSMITTING, VnfPhase.PROCESSING, VnfPhase.STORED
 
 
 # -- pure decision-table pieces ---------------------------------------------
-
-def test_pending_transition_table():
-    # mid-wire slots ignore the action entirely
-    assert pending_transition(T, t_c=3, t_p=0, action=9, node=1) is T
-    # final wire slot: stay lands the data, a move chains a new transfer
-    assert pending_transition(T, t_c=1, t_p=0, action=1, node=1) is S
-    assert pending_transition(T, t_c=1, t_p=0, action=2, node=1) is T
-    # processing: stay keeps going or falls to stored on the last slot
-    assert pending_transition(P, t_c=0, t_p=3, action=1, node=1) is P
-    assert pending_transition(P, t_c=0, t_p=1, action=1, node=1) is S
-    assert pending_transition(P, t_c=0, t_p=2, action=5, node=1) is T  # abandon
-    # stored: stay idles, move transmits
-    assert pending_transition(S, t_c=0, t_p=0, action=1, node=1) is S
-    assert pending_transition(S, t_c=0, t_p=0, action=0, node=1) is T
-
 
 def test_reward_formula():
     assert reward(0.0, 0.0, 1.0, 0.1, 0.2) == 1.0
@@ -182,6 +167,39 @@ def test_initiation_charges_full_duration():
     assert s.phase is P
 
 
+def test_step_follows_the_phase_table():
+    """The seven-case phase table, read off the chain's phase after `step`.
+
+    The corridor's only relay is U1, so a chain there could only move on to
+    its destination; counting G0 as a relay gives it a second move target.
+    """
+    cases = [
+        # mid-wire slots ignore the action (the mask holds only the target)
+        (dict(delta_bits=3e8), [U1], (T, 3), U1, T),
+        # final wire slot: stay lands the data (too big to admit), a move
+        # chains a new transfer
+        (dict(delta_bits=1e8, sigmas=(9e8,)), [U1], (T, 1), U1, S),
+        (dict(delta_bits=1e8), [U1], (T, 1), G0, T),
+        # processing: stay keeps going or falls to stored on the last slot,
+        # a move abandons it
+        (dict(delta_bits=1e8, sigmas=(8e8,)), [U1, U1], (P, 2), U1, P),
+        (dict(delta_bits=1e8, sigmas=(4e8,)), [U1, U1], (P, 1), U1, S),
+        (dict(delta_bits=1e8, sigmas=(8e8,)), [U1, U1], (P, 2), G0, T),
+        # stored: stay idles, move transmits
+        ({}, [], (S, 0), G0, S),
+        ({}, [], (S, 0), U1, T),
+    ]
+    for kw, prefix, before, action, after in cases:
+        env = SaginEnv(corridor_instance(**kw))
+        env._relay[G0] = True
+        for a in prefix:
+            env.step({1: a})
+        s = env.sfcs[1]
+        assert (s.phase, {T: s.t_c, P: s.t_p}.get(s.phase, 0)) == before
+        env.step({1: action})
+        assert s.phase is after, (before, action)
+
+
 def test_wait_penalty_accumulates():
     env = SaginEnv(_walk_instance())
     rewards = [env.step({1: G0}).rewards[1] for _ in range(3)]
@@ -243,7 +261,7 @@ def test_full_storage_degrades_move_to_stay():
     r = env.step({1: U1})
     assert r.rewards[1] == pytest.approx(0.8)  # stored wait, not an initiation
     assert env.sfcs[1].node == G0
-    assert env.log.of_var("z") == []
+    assert of_var(env.log, "z") == []
 
 
 def test_energy_exhaustion_degrades_move_to_stay():
@@ -260,7 +278,7 @@ def test_energy_exhaustion_degrades_move_to_stay():
     r = env.step({1: G1})  # the outbound move is energy-blocked
     assert r.rewards[1] == pytest.approx(0.6)  # second consecutive idle slot
     assert env.sfcs[1].node == U1
-    assert len(env.log.of_var("z")) == 1
+    assert len(of_var(env.log, "z")) == 1
     while not env.episode_over:
         r = env.step({1: G1})
     assert env.objective() == 0
@@ -280,7 +298,7 @@ def test_link_sharing_pro_rata():
     r = env.step({1: U1, 2: U1})
     # chain 1 claims 1e8 of the 1.1288e8-bit slot; chain 2 fits its pro-rata
     # share only by stretching to ceil(1e8 / 1.288e7) = 8 slots
-    z1, z2 = env.log.of_var("z")
+    z1, z2 = of_var(env.log, "z")
     assert (z1["k"], z1["dur"]) == (1, 1)
     assert (z2["k"], z2["dur"]) == (2, 8)
     assert z2["share_bits"] == pytest.approx(1e8 / 8)

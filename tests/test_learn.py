@@ -13,88 +13,136 @@ from sagin_sfc.learn import (
     ReplayMemory,
     TabularAgent,
     TrainingDiverged,
-    Transition,
-    ddqn_target,
+    bootstrap_targets,
     discretize,
-    dqn_target,
     epsilon_greedy,
     evaluate_greedy,
     greediness_schedule,
     make_agent,
-    masked_q,
+    masked_argmax,
     run_episode,
     train,
 )
 from sagin_sfc.env import EnvState, SfcView, VnfPhase
+from sagin_sfc.workload import SfcRequest
 
-from helpers import G0, G1, U1, corridor_instance
+from helpers import G0, G1, U1, corridor_instance, ddqn_target, dqn_target
 
 
-def _tr(seed=0, terminal=False, reward=1.0, obs_len=6, actions=3) -> Transition:
+def _tr(seed=0, terminal=False, reward=1.0, obs_len=6, actions=3) -> tuple:
+    """A replay row as DrlAgent.record stores it."""
     rng = np.random.default_rng(seed)
-    return Transition(
-        obs=rng.normal(size=obs_len),
-        action=int(rng.integers(actions)),
-        reward=reward,
-        next_obs=None if terminal else rng.normal(size=obs_len),
-        next_mask=None if terminal else np.ones(actions, dtype=bool),
-        terminal=terminal,
-    )
+    obs = rng.normal(size=obs_len)
+    action = int(rng.integers(actions))
+    next_obs = np.zeros(obs_len) if terminal else rng.normal(size=obs_len)
+    return (obs, action, reward, next_obs, np.ones(actions, dtype=bool), terminal)
 
 
 # -- replay ring -------------------------------------------------------------
 
 def test_replay_ring_overwrites_oldest():
     mem = ReplayMemory(3)
-    items = [_tr(i, reward=float(i)) for i in range(5)]
-    for it in items:
-        mem.push(it)
+    for i in range(5):
+        mem.push(_tr(i, reward=float(i)))
     assert len(mem) == 3
-    held = {id(t) for t in mem._items}
-    assert held == {id(items[2]), id(items[3]), id(items[4])}
+    # rows 3 and 4 took the ring slots of rows 0 and 1
+    assert [row[2] for row in mem._items] == [3.0, 4.0, 2.0]
 
 
 def test_replay_sample_without_replacement():
     mem = ReplayMemory(10)
     for i in range(10):
-        mem.push(_tr(i))
+        mem.push(_tr(i, reward=float(i)))
     got = mem.sample(10, np.random.default_rng(0))
-    assert len({id(t) for t in got}) == 10
+    assert sorted(row[2] for row in got) == [float(i) for i in range(10)]
     small = mem.sample(64, np.random.default_rng(0))
     assert len(small) == 10  # clamped to what exists
     with pytest.raises(ValueError):
         ReplayMemory(0)
 
 
+def test_terminal_rows_stack_with_the_rest():
+    agent = DrlAgent("dqn", 6, 3, _deep_cfg(), np.random.default_rng(0))
+    agent.record(1, np.ones(6), 2, -1.0, None, None, True)
+    obs, action, reward, next_obs, next_mask, terminal = agent.memory._items[0]
+    assert (action, reward, terminal) == (2, -1.0, True)
+    assert np.array_equal(next_obs, np.zeros(6))
+    assert np.array_equal(next_mask, np.ones(3, dtype=bool))
+
+
 # -- target rules ------------------------------------------------------------
 
-def test_masked_q():
+def _target(reward, gamma, terminal, q_pick, q_score, mask=None):
+    """bootstrap_targets on a one-row batch; no mask means every action allowed."""
+    mask = np.ones(3, dtype=bool) if mask is None else mask
+    if terminal:  # no non-terminal row, so no next-state values
+        q_pick = q_score = np.zeros((0, 3))
+    return bootstrap_targets(np.array([reward]), np.array([terminal]), gamma,
+                             np.atleast_2d(q_pick), np.atleast_2d(q_score),
+                             np.atleast_2d(mask))[0]
+
+
+def test_masked_argmax():
     q = np.array([1.0, 5.0, 3.0])
-    out = masked_q(q, np.array([True, False, True]))
-    assert out[1] == -np.inf and out[0] == 1.0 and out[2] == 3.0
-    assert masked_q(q, None) is q
+    assert masked_argmax(q, np.array([True, False, True])) == 2
+    assert masked_argmax(q, np.ones(3, dtype=bool)) == 1
+    # row by row, ties to the lowest index
+    rows = np.array([[1.0, 5.0, 3.0], [4.0, 4.0, 4.0]])
+    picks = masked_argmax(rows, np.array([[True, False, True], [False, True, True]]))
+    assert picks.tolist() == [2, 1]
     with pytest.raises(ValueError):
-        masked_q(q, np.zeros(3, dtype=bool))
+        masked_argmax(q, np.zeros(3, dtype=bool))
+    with pytest.raises(ValueError):
+        masked_argmax(rows, np.array([[True, True, True], [False, False, False]]))
 
 
 def test_dqn_target():
-    assert dqn_target(2.5, 0.9, True, None) == 2.5
+    assert _target(2.5, 0.9, True, None, None) == 2.5
     nq = np.array([1.0, 4.0, 2.0])
-    assert dqn_target(1.0, 0.9, False, nq) == pytest.approx(1.0 + 0.9 * 4.0)
+    assert _target(1.0, 0.9, False, nq, nq) == pytest.approx(1.0 + 0.9 * 4.0)
     mask = np.array([True, False, True])
-    assert dqn_target(1.0, 0.9, False, nq, mask) == pytest.approx(1.0 + 0.9 * 2.0)
+    assert _target(1.0, 0.9, False, nq, nq, mask) == pytest.approx(1.0 + 0.9 * 2.0)
 
 
 def test_ddqn_target_decouples_choice_from_score():
     online = np.array([9.0, 0.0, 1.0])   # picks action 0
     target = np.array([2.0, 7.0, 3.0])   # would rather score action 1
-    assert ddqn_target(1.0, 0.9, False, online, target) == pytest.approx(1.0 + 0.9 * 2.0)
-    assert dqn_target(1.0, 0.9, False, target) == pytest.approx(1.0 + 0.9 * 7.0)
+    assert _target(1.0, 0.9, False, online, target) == pytest.approx(1.0 + 0.9 * 2.0)
+    assert _target(1.0, 0.9, False, target, target) == pytest.approx(1.0 + 0.9 * 7.0)
     # identical nets collapse the double estimator onto the single one
-    assert ddqn_target(1.0, 0.9, False, target, target) == dqn_target(1.0, 0.9, False, target)
-    assert ddqn_target(3.0, 0.9, True, None, None) == 3.0
+    everything = np.ones(3, dtype=bool)
+    assert _target(1.0, 0.9, False, target, target) == dqn_target(1.0, 0.9, False,
+                                                                   target, everything)
+    assert _target(3.0, 0.9, True, None, None) == 3.0
     mask = np.array([False, True, True])
-    assert ddqn_target(0.0, 1.0, False, online, target, mask) == pytest.approx(3.0)
+    assert _target(0.0, 1.0, False, online, target, mask) == pytest.approx(3.0)
+
+
+def test_bootstrap_targets_match_the_one_row_rules():
+    rng = np.random.default_rng(0)
+    for case in range(300):
+        rows, actions = int(rng.integers(1, 17)), int(rng.integers(1, 7))
+        if case % 2:  # small integers, so argmax ties are common
+            q_online = rng.integers(-2, 3, size=(rows, actions)).astype(float)
+            q_target = rng.integers(-2, 3, size=(rows, actions)).astype(float)
+        else:
+            q_online = rng.normal(size=(rows, actions))
+            q_target = rng.normal(size=(rows, actions))
+        mask = rng.random((rows, actions)) < 0.5
+        mask[np.arange(rows), rng.integers(actions, size=rows)] = True
+        terminal = rng.random(rows) < 0.3
+        reward = rng.normal(size=rows)
+        gamma = float(rng.random())
+        live = ~terminal
+        dqn = bootstrap_targets(reward, terminal, gamma, q_target[live],
+                                q_target[live], mask)
+        ddqn = bootstrap_targets(reward, terminal, gamma, q_online[live],
+                                 q_target[live], mask)
+        for i in range(rows):
+            t = bool(terminal[i])
+            assert dqn[i] == dqn_target(reward[i], gamma, t, q_target[i], mask[i])
+            assert ddqn[i] == ddqn_target(reward[i], gamma, t, q_online[i],
+                                          q_target[i], mask[i])
 
 
 def test_epsilon_greedy_respects_mask():
@@ -266,22 +314,32 @@ def test_updates_per_step_multiplier():
 # -- episode loop ------------------------------------------------------------
 
 class _ScriptedAgent:
-    """Replays a slot-indexed action plan and records every callback."""
+    """Replays a slot-indexed action plan and records every callback.
+
+    Slots missing from the plan take the highest node id the mask allows.
+    """
 
     def __init__(self, plan):
         self.plan = plan
         self.recorded = []
         self.ticks = 0
+        self.prepared = 0
+        self.acted = {}  # (slot, k) -> (obs, mask) handed to act
+        self.nexts = []  # (slot, k, next_obs, next_mask) of non-terminal records
 
     def prepare(self, state, k):
+        self.prepared += 1
         return (state.slot, k)
 
     def act(self, k, obs, mask, greediness, rng):
         self.greediness = greediness
-        return self.plan[obs[0]]
+        self.acted[obs] = (obs, mask)
+        return self.plan.get(obs[0], int(np.flatnonzero(mask)[-1]))
 
     def record(self, k, obs, action, reward, next_obs, next_mask, terminal):
         self.recorded.append((obs[0], action, reward, terminal))
+        if not terminal:
+            self.nexts.append((obs[0], k, next_obs, next_mask))
 
     def train_tick(self, rng):
         self.ticks += 1
@@ -301,6 +359,21 @@ def test_run_episode_accounting():
     slot, action, reward, terminal = agent.recorded[-1]
     assert (slot, action, reward, terminal) == (5, G1, pytest.approx(10.0), True)
     assert all(not t for *_, t in agent.recorded[:-1])
+
+
+def test_run_episode_prepares_each_chain_once_per_slot():
+    reqs = [SfcRequest(k=k, sigmas_bits=[4e8], delta_bits=1e8, origin=G0, dest=G1,
+                       deadline_slots=deadline)
+            for k, deadline in ((1, 12), (2, 7), (3, 4))]
+    env = SaginEnv(corridor_instance(requests=reqs))
+    agent = _ScriptedAgent({})
+    run_episode(env, agent, 1.0, np.random.default_rng(0), learn=True)
+    assert agent.prepared == len(agent.acted) == len(agent.recorded)
+    assert {k for _slot, k in agent.acted} == {1, 2, 3}
+    assert agent.nexts
+    for slot, k, next_obs, next_mask in agent.nexts:
+        obs, mask = agent.acted[(slot + 1, k)]
+        assert next_obs is obs and next_mask is mask
 
 
 def test_run_episode_learn_false_records_nothing():

@@ -107,6 +107,33 @@ def test_transfer_ids_out_of_range_never_wrap():
     assert any(v.link == (SHOWCASE_U2, N) and "absent link" in v.message for v in violations)
 
 
+def test_records_at_unknown_nodes_are_flow_continuity():
+    _log, instance = showcase_feasible()
+    rteg = instance.rteg
+    N = rteg.node_count
+    delta = next(r.delta_bits for r in instance.requests if r.k == 1)
+    # enough held payloads to overflow the last node's storage, were -1 to wrap
+    overflow = int(rteg.nodes[N - 1].storage_bits // delta) + 1
+    cases = [
+        [("x", N)],
+        [("x", -1)],
+        [("y", N)],
+        [("y", -1)],
+        [("rho", N)],
+        [("rho", -1)] * overflow,
+    ]
+    for records in cases:
+        log, _ = showcase_feasible()
+        for var, node in records:
+            log.records.append({"var": var, "k": 1, "node": node, "t": 3, "value": 1,
+                                **({"vnf": 1} if var == "x" else {})})
+        violations = check_schedule(log, instance)
+        assert {v.family for v in violations} == {"flow-continuity"}, records[0]
+        assert all(v.node == records[0][1] and "node the instance lacks" in v.message
+                   for v in violations), records[0]
+        assert objective_value(log, instance) == 3
+
+
 def test_malformed_records_rejected(showcase_instance):
     log = ScheduleLog()
     log.records.append({"var": "w", "k": 1, "value": 1})
@@ -116,6 +143,14 @@ def test_malformed_records_rejected(showcase_instance):
     log2.add_y(99, 2, 3)  # no such chain
     with pytest.raises(ValueError, match="malformed"):
         check_schedule(log2, showcase_instance)
+    for bad in ({"var": "x", "k": 1, "t": 3, "vnf": 1, "value": 1},  # no node
+                {"var": "z", "k": 1, "link": [2], "t": 3, "dur": 1, "share_bits": 1.0},
+                {"var": "rho", "k": [1], "node": 2, "t": 3},
+                ["x", 1]):
+        log3 = ScheduleLog()
+        log3.records.append(bad)
+        with pytest.raises(ValueError, match="malformed"):
+            check_schedule(log3, showcase_instance)
 
 
 def test_empty_log_is_feasible_and_scores_zero(showcase_instance):
