@@ -207,11 +207,6 @@ def _sat_budget_denominator(k: RadioConstants, slant_range_m):
     raise ValueError(f"unknown sat_budget_denominator {k.sat_budget_denominator!r}")
 
 
-def slot_capacity_bits(kind: LinkKind, distance_m, k: RadioConstants, tau_s: float):
-    """Bits a link can carry within one slot."""
-    return link_rate_bps(kind, distance_m, k) * tau_s
-
-
 class LinkRateTable:
     """Nominal rate and slot capacity of every (src, dst, slot) link, as one array."""
 

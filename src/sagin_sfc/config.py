@@ -1,7 +1,8 @@
 """Run configuration: dataclass sections, YAML loading, dotted overrides.
 
-All radio quantities configured in dB carry a _db / _dbm suffix and are
-converted to linear domain once, at load time (see channel.RadioConstants).
+All radio quantities configured in dB carry a _db / _dbm suffix and stay in
+dB here; scenario.build_instance converts them to linear domain once, through
+channel.RadioConstants.from_config.
 Distances are metres, data sizes bits, powers watts, times seconds.
 """
 
@@ -15,6 +16,8 @@ from typing import Any
 import yaml
 
 SEED_ENV_VAR = "SAGIN_SEED"
+OPTIMIZERS = ("adam", "adadelta")
+SAT_BUDGET_DENOMINATORS = ("margin", "slant_range")
 
 
 @dataclass
@@ -73,7 +76,7 @@ class ScenarioConfig:
 
 @dataclass
 class RadioConfig:
-    """Transmit powers, bandwidths and link-budget terms; dB fields converted at load."""
+    """Transmit powers, bandwidths and link-budget terms; dB fields converted at build."""
 
     p_tr_g_w: float = 0.5
     p_tr_u_w: float = 10.0
@@ -208,10 +211,14 @@ def _build_orbits(value: Any, path: str) -> list:
 
 
 def check_config(cfg: RunConfig) -> RunConfig:
-    """Cross-field checks that fail at load rather than deep inside a run."""
-    sc, w = cfg.scenario, cfg.workload
+    """Value and cross-field checks that fail at load rather than deep inside a run."""
+    sc, w, a = cfg.scenario, cfg.workload, cfg.agent
     checks = [
         (sc.slot_count >= 1, f"scenario.slot_count must be at least 1, got {sc.slot_count}"),
+        (sc.slot_seconds > 0, f"scenario.slot_seconds must be positive, got {sc.slot_seconds}"),
+        (sc.uav_count >= 0, f"scenario.uav_count must not be negative, got {sc.uav_count}"),
+        (sc.satellite_count >= 0,
+         f"scenario.satellite_count must not be negative, got {sc.satellite_count}"),
         (not sc.satellite_orbits or sc.satellite_trace_file
          or len(sc.satellite_orbits) == sc.satellite_count,
          f"scenario.satellite_orbits lists {len(sc.satellite_orbits)} orbits "
@@ -221,8 +228,16 @@ def check_config(cfg: RunConfig) -> RunConfig:
         (w.deadline_min_slots <= w.deadline_max_slots,
          f"workload needs deadline_min_slots <= deadline_max_slots, "
          f"got {w.deadline_min_slots} and {w.deadline_max_slots}"),
-        (0.0 <= cfg.agent.discount < 1.0,
-         f"agent.discount must lie in [0, 1), got {cfg.agent.discount}"),
+        (w.count >= 1, f"workload.count must be at least 1, got {w.count}"),
+        (cfg.radio.sat_budget_denominator in SAT_BUDGET_DENOMINATORS,
+         f"radio.sat_budget_denominator must be one of {SAT_BUDGET_DENOMINATORS}, "
+         f"got {cfg.radio.sat_budget_denominator!r}"),
+        (0.0 <= a.discount < 1.0, f"agent.discount must lie in [0, 1), got {a.discount}"),
+        (a.optimizer in OPTIMIZERS,
+         f"agent.optimizer must be one of {OPTIMIZERS}, got {a.optimizer!r}"),
+    ] + [
+        (getattr(a, name) >= 1, f"agent.{name} must be at least 1, got {getattr(a, name)}")
+        for name in ("replay_capacity", "batch_size", "target_sync_steps")
     ]
     for ok, message in checks:
         if not ok:

@@ -4,8 +4,8 @@ UAVs pay hover plus movement power every slot and transmit energy per bit
 sent; satellites pay a fixed operational cost per slot plus transmit and
 receive energy. Compute energy is charged per processed bit on both. The
 ledger tracks cumulative spend per node against its budget. The environment
-and the validator both price energy through fixed_energy_j, link_powers_w
-and transfer_charges.
+and the validator both price energy through fixed_energy_j, compute_j_per_bit,
+link_powers_w and transfer_charges, which read the instance's config.
 """
 
 from __future__ import annotations
@@ -68,13 +68,13 @@ def compute_energy_j(sigma_bits: float, e_c_j_per_bit: float) -> float:
 
 def fixed_energy_j(instance, horizon: int) -> dict:
     """Unavoidable burn over the horizon: hover/movement for UAVs, upkeep for satellites."""
-    rteg = instance.rteg
+    rteg, e = instance.rteg, instance.config.energy
     tau = rteg.slot_seconds
     fixed = {}
     for n in rteg.nodes:
         if n.kind is NodeKind.UAV:
             hover = uav_hover_power_w(n.mass_kg, n.rotor_radius_m, n.rotor_count,
-                                      instance.gravity_mps2, instance.air_density_kg_m3)
+                                      e.gravity_mps2, e.air_density_kg_m3)
             total = 0.0
             for t in range(1, horizon + 1):
                 prev = rteg.position(n.node_id, max(t - 1, 1))
@@ -84,19 +84,27 @@ def fixed_energy_j(instance, horizon: int) -> dict:
                                            hover, disp, tau)
             fixed[n.node_id] = total
         elif n.kind is NodeKind.SATELLITE:
-            fixed[n.node_id] = instance.e_op_sat_j_per_slot * horizon
+            fixed[n.node_id] = e.e_op_sat_j_per_slot * horizon
     return fixed
+
+
+def compute_j_per_bit(instance) -> list:
+    """Per node id: compute energy per processed bit, the satellite rate or the UAV rate."""
+    e = instance.config.energy
+    return [e.e_c_sat_j_per_bit if n.kind is NodeKind.SATELLITE else e.e_c_uav_j_per_bit
+            for n in instance.rteg.nodes]
 
 
 def link_powers_w(instance) -> dict:
     """Per link kind: (transmit power at the source, receive power at the destination)."""
+    r, e = instance.config.radio, instance.config.energy
     return {
         LinkKind.G2U: (0.0, 0.0),  # ground stations are not energy tracked
-        LinkKind.U2G: (instance.p_tr_u_w, 0.0),
-        LinkKind.U2U: (instance.p_uu_w, 0.0),
-        LinkKind.U2S: (instance.p_us_w, instance.p_re_us_w),
-        LinkKind.S2S: (instance.p_ss_w, instance.p_re_ss_w),
-        LinkKind.S2G: (instance.p_sg_w, 0.0),
+        LinkKind.U2G: (r.p_tr_u_w, 0.0),
+        LinkKind.U2U: (r.p_uu_w, 0.0),
+        LinkKind.U2S: (r.p_us_w, e.p_re_us_w),
+        LinkKind.S2S: (r.p_ss_w, e.p_re_ss_w),
+        LinkKind.S2G: (r.p_sg_w, 0.0),
     }
 
 
@@ -111,17 +119,18 @@ def transfer_charges(
 
 @dataclass
 class EnergyLedger:
-    """Cumulative per-node energy spend with itemized entries."""
+    """Cumulative per-node energy spend, with running totals per (node, label)."""
 
     budgets: dict  # node_id -> budget J
     spent: dict = field(default_factory=dict)
-    entries: dict = field(default_factory=dict)  # node_id -> list[(slot, label, joules)]
+    by_label: dict = field(default_factory=dict)  # (node_id, label) -> J
 
-    def charge(self, node_id: int, slot: int, label: str, joules: float) -> None:
+    def charge(self, node_id: int, label: str, joules: float) -> None:
         if joules < 0:
             raise ValueError("energy charges are non-negative")
         self.spent[node_id] = self.spent.get(node_id, 0.0) + joules
-        self.entries.setdefault(node_id, []).append((slot, label, joules))
+        key = (node_id, label)
+        self.by_label[key] = self.by_label.get(key, 0.0) + joules
 
     def spent_j(self, node_id: int) -> float:
         return self.spent.get(node_id, 0.0)
@@ -133,4 +142,4 @@ class EnergyLedger:
         return self.spent_j(node_id) <= self.budgets.get(node_id, math.inf) + 1e-9
 
     def total_by_label(self, node_id: int, label: str) -> float:
-        return sum(j for _, lab, j in self.entries.get(node_id, []) if lab == label)
+        return self.by_label.get((node_id, label), 0.0)

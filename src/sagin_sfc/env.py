@@ -30,6 +30,7 @@ import numpy as np
 from .energy import (
     EnergyLedger,
     compute_energy_j,
+    compute_j_per_bit,
     fixed_energy_j,
     link_powers_w,
     transfer_charges,
@@ -193,17 +194,19 @@ class SaginEnv:
         self.rates = instance.rates
         self.record_log = record_log
         self.horizon = min(step_cap or instance.rteg.slot_count, instance.rteg.slot_count)
-        self.c0 = instance.reward_c0
-        self.c1 = instance.reward_c1
-        self.c2 = instance.reward_c2
-        self.discount = instance.discount
+        agent = instance.config.agent
+        self.c0, self.c1, self.c2 = agent.reward_c0, agent.reward_c1, agent.reward_c2
+        self.discount = agent.discount
         self.node_kind = {n.node_id: n.kind for n in self.rteg.nodes}
         self.capacity = np.array(
             [n.compute_capacity_bits for n in self.rteg.nodes], dtype=float
         )
         self._present = self.rteg.kinds >= 0  # (slot, src, dst)
         self._relay = np.array([n.kind is not NodeKind.GROUND for n in self.rteg.nodes])
+        self.link_load = np.zeros(self.rteg.kinds.shape)  # (slot, src, dst) bits claimed
         self._link_powers = link_powers_w(instance)
+        self._e_c = compute_j_per_bit(instance)
+        self._fixed_j = fixed_energy_j(instance, self.horizon)
         self.reset()
 
     # -- lifecycle ---------------------------------------------------------
@@ -213,7 +216,7 @@ class SaginEnv:
         self.sfcs = {r.k: _Sfc(request=r, node=r.origin) for r in self.instance.requests}
         self.occupancy = {n.node_id: 0.0 for n in self.rteg.nodes}
         self.storage_used = {n.node_id: 0.0 for n in self.rteg.nodes}
-        self.link_load: dict = {}  # (src, dst, slot) -> bits claimed in that slot
+        self.link_load.fill(0.0)
         self.energy = EnergyLedger(
             budgets={n.node_id: n.energy_budget_j for n in self.rteg.nodes
                      if n.kind is not NodeKind.GROUND}
@@ -221,8 +224,8 @@ class SaginEnv:
         self.log = ScheduleLog() if self.record_log else None
         self.util_occupied_sum = 0.0
         self.episode_over = False
-        for node, joules in fixed_energy_j(self.instance, self.horizon).items():
-            self.energy.charge(node, 0, "fixed", joules)
+        for node, joules in self._fixed_j.items():
+            self.energy.charge(node, "fixed", joules)
         return self.state()
 
     # -- views -------------------------------------------------------------
@@ -382,9 +385,7 @@ class SaginEnv:
         if self.node_kind[target] is not NodeKind.GROUND:
             self.storage_used[target] += delta
         share = delta / dur
-        for w in range(start, start + dur):
-            key = (src, target, w)
-            self.link_load[key] = self.link_load.get(key, 0.0) + share
+        self.link_load[start - 1:start - 1 + dur, src, target] += share
         self._charge_transfer_energy(src, target, start, delta, dry_run=False)
         s.t_c = dur
         s.node = target
@@ -399,7 +400,7 @@ class SaginEnv:
 
     def _feasible_duration(self, src: int, dst: int, start: int, delta: float) -> int:
         """Smallest wire length whose pro-rata share fits every covered slot."""
-        if start > self.horizon or not self.rates.has(src, dst, start):
+        if start > self.horizon or not self._present.item(start - 1, src, dst):
             return 0
         first = self._residual(src, dst, start)
         if first <= 0:
@@ -410,7 +411,7 @@ class SaginEnv:
                 return 0
             worst = math.inf
             for w in range(start, start + dur):
-                if not self.rates.has(src, dst, w):
+                if not self._present.item(w - 1, src, dst):
                     return 0
                 worst = min(worst, self._residual(src, dst, w))
             if worst <= 0:
@@ -421,7 +422,9 @@ class SaginEnv:
             dur = needed
 
     def _residual(self, src: int, dst: int, w: int) -> float:
-        return self.rates.slot_bits(src, dst, w) - self.link_load.get((src, dst, w), 0.0)
+        """Unclaimed bits of a present link in slot w."""
+        return (self.rates.bps.item(w - 1, src, dst) * self.rates.tau_s
+                - self.link_load.item(w - 1, src, dst))
 
     def _charge_transfer_energy(
         self, src: int, dst: int, start: int, delta: float, dry_run: bool
@@ -434,7 +437,7 @@ class SaginEnv:
             return False
         if not dry_run:
             for node, joules in charges:
-                self.energy.charge(node, start, "transfer", joules)
+                self.energy.charge(node, "transfer", joules)
         return True
 
     def _cancel_processing(self, k: int) -> None:
@@ -465,18 +468,13 @@ class SaginEnv:
             ]
             admitted, _ = admit_contenders(contenders, room)
             spec = self.rteg.nodes[node]
-            e_c = (
-                self.instance.e_c_sat_j_per_bit
-                if spec.kind is NodeKind.SATELLITE
-                else self.instance.e_c_uav_j_per_bit
-            )
             for k in admitted:
                 s = self.sfcs[k]
                 sigma = s.request.sigmas_bits[s.vnf_index - 1]
-                joules = compute_energy_j(sigma, e_c)
+                joules = compute_energy_j(sigma, self._e_c[node])
                 if self.energy.headroom_j(node) < joules:
                     continue  # energy-blocked; stays stored and waits
-                self.energy.charge(node, t + 1, "compute", joules)
+                self.energy.charge(node, "compute", joules)
                 self.occupancy[node] += sigma
                 pending[k] = VnfPhase.PROCESSING
                 s.t_p = vnf_process_slots(sigma, spec.compute_rate_bps, self.rteg.slot_seconds)
@@ -510,10 +508,8 @@ class SaginEnv:
         if s.phase is VnfPhase.PROCESSING:
             self._cancel_processing(k)
         elif s.phase is VnfPhase.TRANSMITTING:
-            for w in range(t + 1, s.transfer_end + 1):
-                key = (s.transfer_src, s.node, w)
-                if key in self.link_load:
-                    self.link_load[key] = max(0.0, self.link_load[key] - s.transfer_share)
+            cells = (slice(t, s.transfer_end), s.transfer_src, s.node)  # slots t+1..end
+            self.link_load[cells] = np.maximum(self.link_load[cells] - s.transfer_share, 0.0)
             if self.log is not None and s.transfer_end > t:
                 self.log.truncate_z(k, s.transfer_start, t - s.transfer_start + 1)
         if self.node_kind[s.node] is not NodeKind.GROUND:
@@ -554,16 +550,17 @@ class SaginEnv:
         return (
             self.slot,
             sfc_part,
-            tuple(sorted(self.occupancy.items())),
-            tuple(sorted(self.storage_used.items())),
-            tuple(sorted((kk, v) for kk, v in self.link_load.items() if kk[2] >= self.slot)),
-            tuple(sorted(self.energy.spent.items())),
+            dict(self.occupancy),
+            dict(self.storage_used),
+            self.link_load.copy(),
+            dict(self.energy.spent),
+            dict(self.energy.by_label),
             self.util_occupied_sum,
             self.episode_over,
         )
 
     def restore(self, snap: tuple) -> None:
-        (self.slot, sfc_part, occ, storage, load, spent,
+        (self.slot, sfc_part, occ, storage, load, spent, by_label,
          self.util_occupied_sum, self.episode_over) = snap
         for (k, phase, node, vnf_index, t_c, t_p, wait_run, done, comp,
              tsrc, tstart, tend, tshare) in sfc_part:
@@ -575,16 +572,17 @@ class SaginEnv:
             s.transfer_share = tshare
         self.occupancy = dict(occ)
         self.storage_used = dict(storage)
-        self.link_load = dict(load)
+        self.link_load[...] = load
         self.energy.spent = dict(spent)
+        self.energy.by_label = dict(by_label)
 
     def memo_key(self) -> tuple:
         """Search-state identity for the exact solver.
 
         Keeps everything that shapes future dynamics: progress, resource
         claims, and energy spent (quantized — headroom gates actions).
-        Reward-only bookkeeping (wait counters, completion slots) and stale
-        transfer fields of non-transmitting chains are dropped so equivalent
+        Bookkeeping (wait counters, completion slots, per-label energy
+        totals) and stale transfer fields of non-transmitting chains are dropped so equivalent
         states merge.
         """
         sfc_part = tuple(
@@ -593,12 +591,17 @@ class SaginEnv:
                if s.phase is VnfPhase.TRANSMITTING and s.done is None else ())
             for k, s in sorted(self.sfcs.items())
         )
+        # claimed cells from the current slot on; a dense copy would grow the
+        # memo by every empty cell of every state
+        tail = self.link_load[self.slot - 1:].ravel()
+        claimed = np.flatnonzero(tail)
         return (
             self.slot,
             self.episode_over,
             sfc_part,
             tuple(sorted(self.occupancy.items())),
             tuple(sorted(self.storage_used.items())),
-            tuple(sorted((kk, v) for kk, v in self.link_load.items() if kk[2] >= self.slot)),
+            claimed.tobytes(),
+            tail[claimed].tobytes(),
             tuple(sorted((n, round(v, 6)) for n, v in self.energy.spent.items())),
         )

@@ -63,9 +63,8 @@ def solve_exact(instance, step_cap: int | None = None,
     calls = 0
 
     def bound(e: SaginEnv) -> int:
-        done = sum(1 for s in e.sfcs.values() if s.done == "completed")
-        alive = sum(1 for s in e.sfcs.values() if s.done is None)
-        return done, done + alive
+        """Chains completed or still alive: no branch can complete more."""
+        return sum(1 for s in e.sfcs.values() if s.done != "failed")
 
     def dfs() -> int:
         nonlocal calls
@@ -84,8 +83,7 @@ def solve_exact(instance, step_cap: int | None = None,
         best_value, best_action = -1, None
         for joint in _joint_actions(env):
             env.step(joint)
-            _, upper = bound(env)
-            if upper > best_value:  # branch can still improve on siblings
+            if bound(env) > best_value:  # branch can still improve on siblings
                 value = dfs()
                 if value > best_value:
                     best_value, best_action = value, joint

@@ -1,8 +1,8 @@
 """Instance assembly: topology + link rates + workload bundled for the environment.
 
-Also hosts the hand-built three-chain contention showcase used by tests and the
-exact solver: two UAVs, two satellites, a payload bottleneck on the second
-satellite, and a late coverage window that forces the interesting ordering.
+Also hosts the hand-built three-chain contention showcase the tests use: two
+UAVs, two satellites, a payload bottleneck on the second satellite, and a
+late coverage window that forces the interesting ordering.
 """
 
 from __future__ import annotations
@@ -14,62 +14,24 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import LinkRateTable, RadioConstants
-from .config import RunConfig, config_dict
+from .config import RunConfig
 from .topology import NodeKind, NodeSpec, build_rteg, build_topology
 from .workload import SfcRequest, generate_workload, load_requests_csv
 
 
 @dataclass
 class Instance:
-    """Everything the environment needs, fully precomputed and immutable."""
+    """Everything the environment needs, fully precomputed.
+
+    `config` is the one store of every price and coefficient: the energy
+    model, the env and the validator read it at use time, so it must not be
+    mutated once the instance is built.
+    """
 
     rteg: object
     rates: LinkRateTable
     requests: list
-    # energy model parameters
-    p_tr_u_w: float
-    p_uu_w: float
-    p_us_w: float
-    p_ss_w: float
-    p_sg_w: float
-    p_re_us_w: float
-    p_re_ss_w: float
-    e_c_uav_j_per_bit: float
-    e_c_sat_j_per_bit: float
-    e_op_sat_j_per_slot: float
-    gravity_mps2: float
-    air_density_kg_m3: float
-    # reward shaping
-    reward_c0: float = 1.0
-    reward_c1: float = 0.1
-    reward_c2: float = 0.2
-    discount: float = 0.9
-    config: RunConfig | None = field(default=None, repr=False)
-
-
-def _instance_from_parts(rteg, rates, requests, cfg: RunConfig) -> Instance:
-    return Instance(
-        rteg=rteg,
-        rates=rates,
-        requests=requests,
-        p_tr_u_w=cfg.radio.p_tr_u_w,
-        p_uu_w=cfg.radio.p_uu_w,
-        p_us_w=cfg.radio.p_us_w,
-        p_ss_w=cfg.radio.p_ss_w,
-        p_sg_w=cfg.radio.p_sg_w,
-        p_re_us_w=cfg.energy.p_re_us_w,
-        p_re_ss_w=cfg.energy.p_re_ss_w,
-        e_c_uav_j_per_bit=cfg.energy.e_c_uav_j_per_bit,
-        e_c_sat_j_per_bit=cfg.energy.e_c_sat_j_per_bit,
-        e_op_sat_j_per_slot=cfg.energy.e_op_sat_j_per_slot,
-        gravity_mps2=cfg.energy.gravity_mps2,
-        air_density_kg_m3=cfg.energy.air_density_kg_m3,
-        reward_c0=cfg.agent.reward_c0,
-        reward_c1=cfg.agent.reward_c1,
-        reward_c2=cfg.agent.reward_c2,
-        discount=cfg.agent.discount,
-        config=cfg,
-    )
+    config: RunConfig = field(repr=False)
 
 
 def build_instance(cfg: RunConfig, seed: int) -> Instance:
@@ -87,7 +49,7 @@ def build_instance(cfg: RunConfig, seed: int) -> Instance:
     else:
         ground = rteg.nodes_of_kind(NodeKind.GROUND)
         requests = generate_workload(cfg.workload, ground, np.random.default_rng(work_ss))
-    return _instance_from_parts(rteg, rates, requests, cfg)
+    return Instance(rteg, rates, requests, cfg)
 
 
 def instance_fingerprint(instance: Instance) -> str:
@@ -191,7 +153,7 @@ def contention_instance() -> Instance:
         SfcRequest(k=3, sigmas_bits=[4e8, 1e9], delta_bits=4e7,
                    origin=SHOWCASE_G0, dest=SHOWCASE_G1, deadline_slots=12),
     ]
-    return _instance_from_parts(rteg, rates, requests, cfg)
+    return Instance(rteg, rates, requests, cfg)
 
 
 # Per-chain route plans: ordered stops with the number of VNFs that must be

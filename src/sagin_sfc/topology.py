@@ -21,7 +21,7 @@ from enum import Enum
 
 import numpy as np
 
-from .config import OrbitConfig, RangeLimits, ScenarioConfig
+from .config import ConfigError, OrbitConfig, RangeLimits, ScenarioConfig
 
 EARTH_RADIUS_M = 6.371e6
 EARTH_MU = 3.986004418e14  # m^3/s^2
@@ -122,8 +122,8 @@ def place_uavs(
 ) -> np.ndarray:
     """Rejection-sample UAV positions in a horizontal disc with pairwise separation.
 
-    Returns (count, 3) positions at the shared altitude. Raises ValueError when
-    the attempt budget runs out (infeasible density).
+    Returns (count, 3) positions at the shared altitude. Raises ConfigError
+    when the attempt budget runs out (infeasible density).
     """
     placed: list[np.ndarray] = []
     for _ in range(count):
@@ -135,7 +135,7 @@ def place_uavs(
                 placed.append(p)
                 break
         else:
-            raise ValueError(
+            raise ConfigError(
                 f"could not place UAV {len(placed)} after {attempts} attempts "
                 f"(radius {disc_radius_m} m, separation {min_separation_m} m)"
             )

@@ -30,7 +30,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .energy import compute_energy_j, fixed_energy_j, link_powers_w, transfer_charges
+from .energy import (
+    compute_energy_j,
+    compute_j_per_bit,
+    fixed_energy_j,
+    link_powers_w,
+    transfer_charges,
+)
 from .topology import NodeKind
 from .workload import vnf_process_slots
 
@@ -345,6 +351,7 @@ def check_schedule(log, instance, horizon: int | None = None) -> list:
 def _energy_replay(chains: dict, instance, horizon: int):
     spent = fixed_energy_j(instance, horizon)
     powers = link_powers_w(instance)
+    e_c = compute_j_per_bit(instance)
     rteg = instance.rteg
     for k, chain in sorted(chains.items()):
         delta = chain.request.delta_bits
@@ -358,11 +365,8 @@ def _energy_replay(chains: dict, instance, horizon: int):
         for vnf, node, t in chain.xs:
             if not 1 <= vnf <= chain.request.length:
                 continue
-            e_c = (instance.e_c_sat_j_per_bit
-                   if rteg.nodes[node].kind is NodeKind.SATELLITE
-                   else instance.e_c_uav_j_per_bit)
             spent[node] = spent.get(node, 0.0) + compute_energy_j(
-                chain.request.sigmas_bits[vnf - 1], e_c)
+                chain.request.sigmas_bits[vnf - 1], e_c[node])
     for n in rteg.nodes:
         if n.kind is NodeKind.GROUND:
             continue

@@ -16,7 +16,7 @@ import numpy as np
 from sagin_sfc.channel import LinkRateTable, RadioConstants
 from sagin_sfc.config import RunConfig
 from sagin_sfc.env import VnfPhase
-from sagin_sfc.scenario import _instance_from_parts
+from sagin_sfc.scenario import Instance
 from sagin_sfc.topology import _LINK_KINDS, LinkKind, NodeKind, NodeSpec, build_rteg
 from sagin_sfc.workload import SfcRequest
 
@@ -69,7 +69,7 @@ def corridor_instance(
             SfcRequest(k=1, sigmas_bits=list(sigmas), delta_bits=delta_bits,
                        origin=G0, dest=G1, deadline_slots=deadline)
         ]
-    return _instance_from_parts(rteg, rates, requests, cfg)
+    return Instance(rteg, rates, requests, cfg)
 
 
 CORRIDOR_PLAN = {1: [(G0, 0), (U1, 1), (G1, 1)]}

@@ -26,7 +26,6 @@ from sagin_sfc.channel import (
     s2g_snr,
     sat_link_rate,
     shannon_rate_bps,
-    slot_capacity_bits,
     u2u_path_loss_db,
     u2u_snr,
 )
@@ -157,13 +156,6 @@ def test_s2g_rate_includes_rain():
     cfg.rain_db_per_km = 3.0
     wet = link_rate_bps(LinkKind.S2G, 1e6, RadioConstants.from_config(cfg))
     assert wet < dry
-
-
-def test_slot_capacity_is_rate_times_slot():
-    k = _constants()
-    assert slot_capacity_bits(LinkKind.G2U, 300.0, k, 5.0) == pytest.approx(
-        5.0 * link_rate_bps(LinkKind.G2U, 300.0, k), rel=1e-12
-    )
 
 
 def test_rate_table_matches_direct_evaluation():

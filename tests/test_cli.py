@@ -181,12 +181,23 @@ def test_exit_code_two_on_bad_inputs(tmp_path, capsys):
                  ["workload.vnf_min=3", "workload.vnf_max=2"],
                  ["scenario.slot_count=0"],
                  ["agent.discount=1.0"],
-                 ["scenario.range_limits={g2u: 5.0}"]):
+                 ["scenario.range_limits={g2u: 5.0}"],
+                 ["agent.optimizer=bogus"],
+                 ["agent.replay_capacity=0"],
+                 ["agent.batch_size=0"],
+                 ["agent.target_sync_steps=0"],
+                 ["scenario.slot_seconds=0"],
+                 ["workload.count=0"],
+                 ["scenario.uav_min_separation_m=1e6"],  # no room to place the UAVs
+                 ["scenario.uav_count=-1"],
+                 ["scenario.satellite_count=-1"],
+                 ["radio.sat_budget_denominator=bogus"]):  # tiny prices no satellite link
         argv = ["run", "--config", TINY, "--out-dir", str(tmp_path)]
         for pair in sets:
             argv += ["--set", pair]
+        argv += ["--episodes", "2"]
         assert _run(*argv) == 2, sets
-    assert capsys.readouterr().err.count("error:") == 13
+    assert capsys.readouterr().err.count("error:") == 23
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -76,22 +76,25 @@ def test_compute_energy():
 
 def test_ledger_accounting():
     led = EnergyLedger(budgets={1: 100.0})
-    led.charge(1, 0, "fixed", 60.0)
-    led.charge(1, 3, "transfer", 25.0)
-    led.charge(1, 4, "compute", 10.0)
+    led.charge(1, "fixed", 60.0)
+    led.charge(1, "transfer", 25.0)
+    led.charge(1, "compute", 10.0)
     assert led.spent_j(1) == pytest.approx(95.0)
     assert led.headroom_j(1) == pytest.approx(5.0)
     assert led.feasible(1)
-    led.charge(1, 5, "transfer", 6.0)
+    led.charge(1, "transfer", 6.0)
     assert not led.feasible(1)
     assert led.total_by_label(1, "transfer") == pytest.approx(31.0)
     assert led.total_by_label(1, "fixed") == pytest.approx(60.0)
-    assert led.entries[1][0] == (0, "fixed", 60.0)
+    assert led.total_by_label(1, "fixed") == 60.0  # the one fixed charge, exactly
+    assert led.total_by_label(1, "compute") == 10.0
+    assert led.total_by_label(1, "hover") == 0.0
+    assert led.total_by_label(2, "fixed") == 0.0
 
 
 def test_ledger_unbudgeted_node_is_unbounded():
     led = EnergyLedger(budgets={})
-    led.charge(9, 1, "compute", 1e9)
+    led.charge(9, "compute", 1e9)
     assert led.feasible(9)
     assert led.headroom_j(9) == math.inf
 
@@ -99,4 +102,4 @@ def test_ledger_unbudgeted_node_is_unbounded():
 def test_ledger_rejects_negative_charge():
     led = EnergyLedger(budgets={1: 10.0})
     with pytest.raises(ValueError):
-        led.charge(1, 0, "fixed", -1.0)
+        led.charge(1, "fixed", -1.0)

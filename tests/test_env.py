@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sagin_sfc.config import load_config
 from sagin_sfc.energy import uav_hover_power_w
 from sagin_sfc.env import (
     EnvState,
@@ -37,6 +38,7 @@ from helpers import (
     U1,
     corridor_instance,
     of_var,
+    random_policy_actions,
     run_random_episode,
     tiny_run_config,
 )
@@ -306,13 +308,24 @@ def test_link_sharing_pro_rata():
     assert r.rewards[2] == pytest.approx(1.0 - 0.1 * 8)
     cap = inst.rates.slot_bits(G0, U1, 2)
     for w in range(2, 10):
-        assert env.link_load[(G0, U1, w)] <= cap + 1e-6
-    assert env.link_load[(G0, U1, 2)] == pytest.approx(1e8 + 1e8 / 8)
+        assert env.link_load[w - 1, G0, U1] <= cap + 1e-6
+    assert env.link_load[2 - 1, G0, U1] == pytest.approx(1e8 + 1e8 / 8)
     # both still finish inside the horizon, and the log stays feasible
     plans = {1: CORRIDOR_PLAN[1], 2: CORRIDOR_PLAN[1]}
     while not env.episode_over:
         env.step(itinerary_actions(env, plans))
     assert env.objective() == 2
+    assert check_schedule(env.log, env.instance) == []
+
+
+def test_mid_wire_failure_frees_the_rest_of_the_wire():
+    env = SaginEnv(corridor_instance(delta_bits=3e8, deadline=3), record_log=True)
+    env.step({1: U1})  # 3e8 bits over 1.1288e8-bit slots: wires slots 2..4
+    assert env.link_load[:5, G0, U1].tolist() == [0.0, 1e8, 1e8, 1e8, 0.0]
+    env.step({1: U1})
+    r = env.step({1: U1})  # t=3 reaches the deadline on the second wire slot
+    assert r.done_flags[1] == "failed"
+    assert env.link_load[:5, G0, U1].tolist() == [0.0, 1e8, 1e8, 0.0, 0.0]
     assert check_schedule(env.log, env.instance) == []
 
 
@@ -370,6 +383,82 @@ def test_snapshot_restore_replays_identically():
     assert env.objective() == 1
 
 
+def _labels_sum_to_spend(env):
+    for node in env.energy.budgets:
+        by_label = sum(env.energy.total_by_label(node, label)
+                       for label in ("fixed", "transfer", "compute"))
+        assert by_label == pytest.approx(env.energy.spent_j(node), rel=1e-12), node
+
+
+def test_restore_rewinds_the_ledger_totals():
+    env = SaginEnv(corridor_instance())
+    env.step({1: U1})
+    snap = env.snapshot()
+    fixed = env.energy.spent_j(U1)
+    while not env.episode_over:
+        env.step(itinerary_actions(env, CORRIDOR_PLAN))
+    assert env.objective() == 1
+    assert env.energy.total_by_label(U1, "transfer") > 0
+    env.restore(snap)
+    assert env.energy.spent_j(U1) == fixed
+    assert env.energy.total_by_label(U1, "compute") == 0.0
+    assert env.energy.total_by_label(U1, "transfer") == 0.0
+    _labels_sum_to_spend(env)
+
+
+def _snapshot_round_trip(inst, rng) -> int:
+    """Snapshot a random-policy episode at a random slot, play on, restore, replay.
+
+    Returns how many chains failed mid-wire after the snapshot, which is
+    when the env hands back the rest of a claimed wire.
+    """
+    env = SaginEnv(inst)
+    length = 0
+    while not env.episode_over:
+        env.step(random_policy_actions(env, rng))
+        length += 1
+    cut = int(rng.integers(length))
+    env.reset()
+    for _ in range(cut):
+        env.step(random_policy_actions(env, rng))
+    snap, key = env.snapshot(), env.memo_key()
+    load = env.link_load[env.slot - 1:].copy()
+
+    mid_wire = []
+    release = env._release_on_failure
+
+    def spy(k, t):
+        s = env.sfcs[k]
+        mid_wire.append(s.phase is VnfPhase.TRANSMITTING and s.transfer_end > t)
+        release(k, t)
+
+    env._release_on_failure = spy
+    actions, rewards = [], []
+    while not env.episode_over:
+        actions.append(random_policy_actions(env, rng))
+        rewards.append(env.step(actions[-1]).rewards)
+    objective, released = env.objective(), sum(mid_wire)
+    env.restore(snap)
+    assert env.memo_key() == key
+    assert np.array_equal(env.link_load[env.slot - 1:], load)
+    _labels_sum_to_spend(env)
+    assert [env.step(a).rewards for a in actions] == rewards
+    assert env.episode_over and env.objective() == objective
+    return released
+
+
+def test_snapshot_restore_round_trips_random_episodes():
+    mid_wire = 0
+    for seed in range(12):
+        inst = build_instance(tiny_run_config(np.random.default_rng(seed)), seed)
+        mid_wire += _snapshot_round_trip(inst, np.random.default_rng(seed + 100))
+    desk = load_config("configs/desk.yaml")
+    for seed in (1, 2):
+        mid_wire += _snapshot_round_trip(build_instance(desk, seed),
+                                         np.random.default_rng(seed + 100))
+    assert mid_wire > 0  # the release path ran inside some rewound tail
+
+
 def test_memo_key_ignores_reward_bookkeeping():
     env = SaginEnv(_walk_instance())
     env.step({1: U1})
@@ -377,6 +466,16 @@ def test_memo_key_ignores_reward_bookkeeping():
     env.sfcs[1].wait_run += 5  # shapes rewards, not dynamics
     assert env.memo_key() == before
     env.sfcs[1].t_c += 1  # shapes dynamics
+    assert env.memo_key() != before
+
+
+def test_memo_key_tells_claimed_cells_apart():
+    env = SaginEnv(_walk_instance())
+    env.step({1: U1})  # claims 1e8 bits of G0->U1 in slot 2, the current slot
+    before = env.memo_key()
+    env.link_load[0, G0, U1] = 5.0  # a past slot shapes nothing to come
+    assert env.memo_key() == before
+    env.link_load[1, G0, U1], env.link_load[1, U1, G1] = 0.0, 1e8  # same bits, other link
     assert env.memo_key() != before
 
 
@@ -407,4 +506,14 @@ def test_random_episodes_emit_feasible_logs(seed):
     run_random_episode(env, np.random.default_rng(seed + 1))
     violations = check_schedule(env.log, inst)
     assert violations == []
+    assert objective_value(env.log, inst) == env.objective()
+
+
+@settings(max_examples=4, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10_000))
+def test_random_desk_episodes_emit_feasible_logs(seed):
+    inst = build_instance(load_config("configs/desk.yaml"), seed)
+    env = SaginEnv(inst, record_log=True)
+    run_random_episode(env, np.random.default_rng(seed + 1))
+    assert check_schedule(env.log, inst) == []
     assert objective_value(env.log, inst) == env.objective()
