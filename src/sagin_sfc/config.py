@@ -229,6 +229,19 @@ def check_config(cfg: RunConfig) -> RunConfig:
          f"workload needs deadline_min_slots <= deadline_max_slots, "
          f"got {w.deadline_min_slots} and {w.deadline_max_slots}"),
         (w.count >= 1, f"workload.count must be at least 1, got {w.count}"),
+        (w.data_min_bits <= w.data_max_bits,
+         f"workload needs data_min_bits <= data_max_bits, "
+         f"got {w.data_min_bits} and {w.data_max_bits}"),
+        (w.sigma_min_bits <= w.sigma_max_bits,
+         f"workload needs sigma_min_bits <= sigma_max_bits, "
+         f"got {w.sigma_min_bits} and {w.sigma_max_bits}"),
+        (sc.uav_compute_rate_bps > 0,
+         f"scenario.uav_compute_rate_bps must be positive, got {sc.uav_compute_rate_bps}"),
+        (sc.sat_compute_rate_bps > 0,
+         f"scenario.sat_compute_rate_bps must be positive, got {sc.sat_compute_rate_bps}"),
+        (cfg.run.step_cap is None or cfg.run.step_cap >= 1,
+         f"run.step_cap must be at least 1 (or null for the full horizon), "
+         f"got {cfg.run.step_cap}"),
         (cfg.radio.sat_budget_denominator in SAT_BUDGET_DENOMINATORS,
          f"radio.sat_budget_denominator must be one of {SAT_BUDGET_DENOMINATORS}, "
          f"got {cfg.radio.sat_budget_denominator!r}"),

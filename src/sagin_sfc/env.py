@@ -68,46 +68,33 @@ def admit_contenders(contenders: list, capacity_remaining: float) -> tuple:
 
 
 @dataclass
-class SfcView:
-    k: int
-    phase: VnfPhase
-    node: int
-    vnf_index: int
-    t_c: int
-    t_p: int
-    elapsed: int
-    done: str | None
-
-
-@dataclass
 class EnvState:
-    """Snapshot handed to policies: per-SFC progress plus global occupancy."""
+    """One slot's view for policies: the active chains, in chain order, as arrays."""
 
     slot: int
-    sfcs: dict  # k -> SfcView
+    ks: list  # active chain ids
+    phase: np.ndarray  # (A,) VnfPhase codes
+    node: np.ndarray  # (A,)
+    vnf_index: np.ndarray  # (A,)
+    length: np.ndarray  # (A,) VNFs per chain, l_k
     occupancy_bits: np.ndarray  # (node_count,)
     capacity_bits: np.ndarray
     sfc_count: int
-    chain_lengths: dict  # k -> l_k
 
 
-def encode_state(state: EnvState, k: int) -> np.ndarray:
-    """Fixed-length observation: k/K, phase one-hot, node one-hot, progress, occupancy."""
-    view = state.sfcs[k]
+def encode_states(state: EnvState) -> np.ndarray:
+    """One observation row per active chain: k/K, phase one-hot, node one-hot,
+    progress, occupancy."""
     node_count = len(state.capacity_bits)
-    phase_oh = np.zeros(3)
-    phase_oh[int(view.phase)] = 1.0
-    node_oh = np.zeros(node_count)
-    node_oh[view.node] = 1.0
-    l_k = state.chain_lengths[k]
-    progress = min(view.vnf_index, l_k) / l_k
-    frac = np.divide(
-        state.occupancy_bits,
-        state.capacity_bits,
-        out=np.zeros(node_count),
-        where=state.capacity_bits > 0,
-    )
-    return np.concatenate(([k / state.sfc_count], phase_oh, node_oh, [progress], frac))
+    rows = np.arange(len(state.ks))
+    obs = np.zeros((rows.size, encoded_length(node_count)))
+    obs[:, 0] = np.divide(state.ks, state.sfc_count)
+    obs[rows, 1 + state.phase] = 1.0
+    obs[rows, 4 + state.node] = 1.0
+    obs[:, 4 + node_count] = np.minimum(state.vnf_index, state.length) / state.length
+    np.divide(state.occupancy_bits, state.capacity_bits, out=obs[:, 5 + node_count:],
+              where=state.capacity_bits > 0)
+    return obs
 
 
 def encoded_length(node_count: int) -> int:
@@ -213,6 +200,7 @@ class SaginEnv:
 
     def reset(self) -> EnvState:
         self.slot = 1
+        self._handed = None  # masks handed out for the current slot, if any
         self.sfcs = {r.k: _Sfc(request=r, node=r.origin) for r in self.instance.requests}
         self.occupancy = {n.node_id: 0.0 for n in self.rteg.nodes}
         self.storage_used = {n.node_id: 0.0 for n in self.rteg.nodes}
@@ -231,21 +219,24 @@ class SaginEnv:
     # -- views -------------------------------------------------------------
 
     def state(self) -> EnvState:
-        views = {
-            k: SfcView(
-                k=k, phase=s.phase, node=s.node, vnf_index=s.vnf_index,
-                t_c=s.t_c, t_p=s.t_p, elapsed=self.slot, done=s.done,
-            )
-            for k, s in self.sfcs.items()
-        }
-        occ = np.array([self.occupancy[n.node_id] for n in self.rteg.nodes])
+        ks, phase, node, vnf_index, length = [], [], [], [], []
+        for k, s in self.sfcs.items():
+            if s.done is None:
+                ks.append(k)
+                phase.append(int(s.phase))
+                node.append(s.node)
+                vnf_index.append(s.vnf_index)
+                length.append(s.request.length)
         return EnvState(
             slot=self.slot,
-            sfcs=views,
-            occupancy_bits=occ,
+            ks=ks,
+            phase=np.array(phase, dtype=np.intp),
+            node=np.array(node, dtype=np.intp),
+            vnf_index=np.array(vnf_index, dtype=np.intp),
+            length=np.array(length, dtype=np.intp),
+            occupancy_bits=np.array(list(self.occupancy.values())),
             capacity_bits=self.capacity.copy(),
             sfc_count=len(self.sfcs),
-            chain_lengths={k: s.request.length for k, s in self.sfcs.items()},
         )
 
     def active_sfcs(self) -> list:
@@ -271,7 +262,9 @@ class SaginEnv:
         return mask
 
     def masks(self) -> dict:
-        return {k: self.action_mask(k) for k in self.active_sfcs()}
+        """Each active chain's action mask; the next `step` validates against these."""
+        self._handed = {k: self.action_mask(k) for k in self.active_sfcs()}
+        return self._handed
 
     # -- stepping ----------------------------------------------------------
 
@@ -282,9 +275,11 @@ class SaginEnv:
         rewards: dict = {}
         done_flags: dict = {}
         active = self.active_sfcs()
+        handed, self._handed = self._handed, None
         for k in active:
             a = actions.get(k)
-            if a is None or not self.action_mask(k)[a]:
+            mask = self.action_mask(k) if handed is None else handed[k]
+            if a is None or not mask[a]:
                 raise ValueError(f"SFC {k}: action {a} outside mask at slot {t}")
 
         self._settle_completions(t, rewards, done_flags)
@@ -562,6 +557,7 @@ class SaginEnv:
     def restore(self, snap: tuple) -> None:
         (self.slot, sfc_part, occ, storage, load, spent, by_label,
          self.util_occupied_sum, self.episode_over) = snap
+        self._handed = None
         for (k, phase, node, vnf_index, t_c, t_p, wait_run, done, comp,
              tsrc, tstart, tend, tshare) in sfc_part:
             s = self.sfcs[k]

@@ -1,10 +1,13 @@
 """Online schedulers: replay-trained value networks and tabular baselines.
 
 All agents pick one target node per in-flight chain per slot under the
-environment's action mask. The deep agents share one network across chains
-(the chain index is part of the observation); the tabular ones share one
-table over a coarse discretization. Everything is driven by explicit
-numpy Generators so runs are bit-reproducible.
+environment's action mask, deciding a whole slot at a time: `prepare` turns
+the slot's state into one observation per active chain and `act` returns
+every chain's action. The deep agents share one network across chains (the
+chain index is part of the observation) and score the slot in one forward
+pass; the tabular ones share one table over a coarse discretization.
+Everything is driven by explicit numpy Generators so runs are
+bit-reproducible.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import AgentConfig
-from .env import EnvState, encode_state, encoded_length
+from .env import EnvState, encode_states, encoded_length
 from .net import DenseNet, make_optimizer
 
 
@@ -78,14 +81,21 @@ def bootstrap_targets(reward: np.ndarray, terminal: np.ndarray, gamma: float,
 
 
 def epsilon_greedy(q: np.ndarray, mask: np.ndarray, greediness: float,
-                   rng: np.random.Generator) -> int:
-    """Greedy with probability `greediness` (ties to lowest index), else uniform."""
-    if rng.random() < greediness:
-        return int(masked_argmax(q, mask))
-    valid = np.flatnonzero(mask)
-    if valid.size == 0:
-        raise ValueError("mask admits no action")
-    return int(valid[rng.integers(valid.size)])
+                   rng: np.random.Generator):
+    """Masked ε-greedy per row of `q`, in row order.
+
+    Each row draws one `rng.random()`: below `greediness` it takes the
+    masked argmax (ties to the lowest index), otherwise it draws one
+    `rng.integers` for a uniformly chosen allowed action. One row gives an
+    int, a matrix a list.
+    """
+    rows = np.atleast_2d(mask)
+    actions = np.atleast_1d(masked_argmax(q, mask)).tolist()
+    for i in range(len(actions)):
+        if rng.random() >= greediness:
+            valid = np.flatnonzero(rows[i])
+            actions[i] = int(valid[rng.integers(valid.size)])
+    return actions if q.ndim > 1 else actions[0]
 
 
 def greediness_schedule(episode: int, episodes: int, greed_max: float,
@@ -120,12 +130,13 @@ class DrlAgent:
         self._no_obs = np.zeros(obs_len)
         self._any_action = np.ones(action_count, dtype=bool)
 
-    def prepare(self, state: EnvState, k: int) -> np.ndarray:
-        return encode_state(state, k)
+    def prepare(self, state: EnvState) -> np.ndarray:
+        return encode_states(state)
 
-    def act(self, k: int, obs: np.ndarray, mask: np.ndarray, greediness: float,
-            rng: np.random.Generator) -> int:
-        return epsilon_greedy(self.online.forward(obs), mask, greediness, rng)
+    def act(self, ks: list, obs: np.ndarray, masks: dict, greediness: float,
+            rng: np.random.Generator) -> dict:
+        mask = np.array([masks[k] for k in ks])
+        return dict(zip(ks, epsilon_greedy(self.online.forward(obs), mask, greediness, rng)))
 
     def record(self, k: int, obs, action: int, reward: float, next_obs,
                next_mask, terminal: bool) -> None:
@@ -161,15 +172,15 @@ class DrlAgent:
             self.target.copy_from(self.online)
 
 
-def discretize(state: EnvState, k: int, tracked_nodes: int, buckets: int) -> tuple:
-    """Coarse table key: phase, node, progress, bucketed load of tracked nodes."""
-    view = state.sfcs[k]
-    compute_ids = np.flatnonzero(state.capacity_bits > 0)[:tracked_nodes]
-    levels = []
-    for n in compute_ids:
-        frac = state.occupancy_bits[n] / state.capacity_bits[n]
-        levels.append(min(buckets - 1, int(frac * buckets)))
-    return (int(view.phase), view.node, min(view.vnf_index, 4), tuple(levels))
+def discretize(state: EnvState, tracked_nodes: int, buckets: int) -> list:
+    """Coarse table key per active chain: phase, node, progress, and the
+    bucketed load of the tracked nodes, which every chain shares."""
+    occupancy, capacity = state.occupancy_bits.tolist(), state.capacity_bits.tolist()
+    compute_ids = [n for n, cap in enumerate(capacity) if cap > 0][:tracked_nodes]
+    levels = tuple(min(buckets - 1, int(occupancy[n] / capacity[n] * buckets))
+                   for n in compute_ids)
+    return [(phase, node, min(vnf_index, 4), levels) for phase, node, vnf_index
+            in zip(state.phase.tolist(), state.node.tolist(), state.vnf_index.tolist())]
 
 
 class TabularAgent:
@@ -189,19 +200,22 @@ class TabularAgent:
             self.q[key] = np.zeros(self.action_count)
         return self.q[key]
 
-    def prepare(self, state: EnvState, k: int) -> tuple:
-        return discretize(state, k, self.cfg.tabular_tracked_nodes,
-                          self.cfg.tabular_buckets)
+    def prepare(self, state: EnvState) -> list:
+        return discretize(state, self.cfg.tabular_tracked_nodes, self.cfg.tabular_buckets)
 
-    def act(self, k: int, key: tuple, mask: np.ndarray, greediness: float,
-            rng: np.random.Generator) -> int:
-        action = epsilon_greedy(self._row(key), mask, greediness, rng)
-        held = self.pending.pop(k, None)
-        if held is not None:  # Sarsa: bootstrap on the action just realized
-            p_key, p_action, p_reward = held
-            target = p_reward + self.cfg.discount * self._row(key)[action]
-            self._bump(p_key, p_action, target)
-        return action
+    def act(self, ks: list, keys: list, masks: dict, greediness: float,
+            rng: np.random.Generator) -> dict:
+        """Chain by chain: a Sarsa bump can change the row a later chain reads."""
+        actions = {}
+        for k, key in zip(ks, keys):
+            action = epsilon_greedy(self._row(key), masks[k], greediness, rng)
+            held = self.pending.pop(k, None)
+            if held is not None:  # Sarsa: bootstrap on the action just realized
+                p_key, p_action, p_reward = held
+                target = p_reward + self.cfg.discount * self._row(key)[action]
+                self._bump(p_key, p_action, target)
+            actions[k] = action
+        return actions
 
     def _bump(self, key: tuple, action: int, target: float) -> None:
         row = self._row(key)
@@ -248,32 +262,34 @@ def run_episode(env, agent, greediness: float, rng: np.random.Generator,
                 learn: bool = True) -> tuple:
     """One full episode; returns (mean reward per chain, completed, utilization).
 
-    Each slot reads the state once and prepares each active chain's
-    observation and mask once; a non-terminal record's next observation and
-    mask are the very objects the chain acts on in the following slot.
+    Each slot reads the state, the masks and the agent's observations once
+    and asks the agent for every active chain's action at once. A
+    non-terminal record's next observation and mask are the very ones the
+    chain acts on in the following slot.
     """
     state = env.reset()
     masks = env.masks()
-    obs = {k: agent.prepare(state, k) for k in masks}
+    obs = agent.prepare(state)
     total = 0.0
     while not env.episode_over:
-        actions = {k: agent.act(k, obs[k], mask, greediness, rng)
-                   for k, mask in masks.items()}
+        ks, acted_obs = state.ks, obs
+        actions = agent.act(ks, obs, masks, greediness, rng)
         result = env.step(actions)
-        acted_obs = obs
         if not env.episode_over:  # otherwise every chain just finished
             state = env.state()
             masks = env.masks()
-            obs = {k: agent.prepare(state, k) for k in masks}
-        for k, action in actions.items():
+            obs = agent.prepare(state)
+        row = {k: i for i, k in enumerate(state.ks)}
+        for i, k in enumerate(ks):
             reward_k = result.rewards[k]
             total += reward_k
             if not learn:
                 continue
             if result.done_flags[k] is None:
-                agent.record(k, acted_obs[k], action, reward_k, obs[k], masks[k], False)
+                agent.record(k, acted_obs[i], actions[k], reward_k, obs[row[k]], masks[k],
+                             False)
             else:
-                agent.record(k, acted_obs[k], action, reward_k, None, None, True)
+                agent.record(k, acted_obs[i], actions[k], reward_k, None, None, True)
         if learn:
             agent.train_tick(rng)
     return total / len(env.sfcs), env.objective(), env.utilization()

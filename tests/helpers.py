@@ -5,8 +5,8 @@ Two families of fixtures-by-function live here: a three-node corridor
 instance for exact step-level assertions, and randomized tiny instances
 small enough for the exhaustive solver. Beside them sit the scalar
 references the array code is checked against: the per-pair link build, the
-link-scan action mask, the MSE loss used to check backprop, and the one-row
-DQN/DDQN bootstrap targets.
+link-scan action mask, the per-chain observation and table key, the MSE loss
+used to check backprop, and the one-row DQN/DDQN bootstrap targets.
 """
 
 from __future__ import annotations
@@ -159,6 +159,33 @@ def reference_action_mask(env, k: int, links: dict) -> np.ndarray:
     return mask
 
 
+def reference_encode_state(env, k: int) -> np.ndarray:
+    """One chain's observation, built alone from the env's own records."""
+    s = env.sfcs[k]
+    node_count = env.rteg.node_count
+    occupancy = np.array([env.occupancy[n.node_id] for n in env.rteg.nodes])
+    phase_oh = np.zeros(3)
+    phase_oh[int(s.phase)] = 1.0
+    node_oh = np.zeros(node_count)
+    node_oh[s.node] = 1.0
+    l_k = s.request.length
+    progress = min(s.vnf_index, l_k) / l_k
+    frac = np.divide(occupancy, env.capacity, out=np.zeros(node_count),
+                     where=env.capacity > 0)
+    return np.concatenate(([k / len(env.sfcs)], phase_oh, node_oh, [progress], frac))
+
+
+def reference_discretize(env, k: int, tracked_nodes: int, buckets: int) -> tuple:
+    """One chain's tabular key, its load levels recomputed for it alone."""
+    s = env.sfcs[k]
+    occupancy = np.array([env.occupancy[n.node_id] for n in env.rteg.nodes])
+    levels = []
+    for n in np.flatnonzero(env.capacity > 0)[:tracked_nodes]:
+        frac = occupancy[n] / env.capacity[n]
+        levels.append(min(buckets - 1, int(frac * buckets)))
+    return (int(s.phase), s.node, min(s.vnf_index, 4), tuple(levels))
+
+
 def mse_loss_and_grads(net, x: np.ndarray, y: np.ndarray) -> tuple:
     """Mean squared error over all outputs, with parameter gradients."""
     out, cache = net.forward_cached(x)
@@ -194,6 +221,15 @@ def ddqn_target(reward: float, gamma: float, terminal: bool,
         return reward
     best = int(np.argmax(masked_q(next_q_online, next_mask)))
     return reward + gamma * float(next_q_target[best])
+
+
+def reference_epsilon_greedy(q: np.ndarray, mask: np.ndarray, greediness: float,
+                             rng: np.random.Generator) -> int:
+    """One chain's masked ε-greedy choice, drawn alone."""
+    if rng.random() < greediness:
+        return int(np.argmax(masked_q(q, mask)))
+    valid = np.flatnonzero(mask)
+    return int(valid[rng.integers(valid.size)])
 
 
 def of_var(log, var: str) -> list:

@@ -191,13 +191,19 @@ def test_exit_code_two_on_bad_inputs(tmp_path, capsys):
                  ["scenario.uav_min_separation_m=1e6"],  # no room to place the UAVs
                  ["scenario.uav_count=-1"],
                  ["scenario.satellite_count=-1"],
-                 ["radio.sat_budget_denominator=bogus"]):  # tiny prices no satellite link
+                 ["radio.sat_budget_denominator=bogus"],  # tiny prices no satellite link
+                 ["workload.data_min_bits=1e10"],
+                 ["workload.sigma_min_bits=1e10"],
+                 ["scenario.uav_compute_rate_bps=0"],
+                 ["scenario.sat_compute_rate_bps=0"],  # tiny has no satellite
+                 ["run.step_cap=-1"],
+                 ["run.step_cap=0"]):
         argv = ["run", "--config", TINY, "--out-dir", str(tmp_path)]
         for pair in sets:
             argv += ["--set", pair]
         argv += ["--episodes", "2"]
         assert _run(*argv) == 2, sets
-    assert capsys.readouterr().err.count("error:") == 23
+    assert capsys.readouterr().err.count("error:") == 29
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -20,10 +20,9 @@ from sagin_sfc.env import (
     EnvState,
     SaginEnv,
     ScheduleLog,
-    SfcView,
     VnfPhase,
     admit_contenders,
-    encode_state,
+    encode_states,
     encoded_length,
     reward,
 )
@@ -354,18 +353,60 @@ def test_step_rejects_bad_calls():
 def test_encode_state_layout():
     state = EnvState(
         slot=4,
-        sfcs={2: SfcView(k=2, phase=P, node=1, vnf_index=2, t_c=0, t_p=1,
-                         elapsed=4, done=None)},
+        ks=[2, 3],
+        phase=np.array([P, T]),
+        node=np.array([1, 2]),
+        vnf_index=np.array([2, 5]),
+        length=np.array([3, 4]),
         occupancy_bits=np.array([0.0, 4e8, 0.0]),
         capacity_bits=np.array([0.0, 8e8, 0.0]),
         sfc_count=4,
-        chain_lengths={2: 3},
     )
-    vec = encode_state(state, 2)
-    assert encoded_length(3) == 11 == vec.size
-    assert vec == pytest.approx(
-        [0.5, 0, 1, 0, 0, 1, 0, 2 / 3, 0.0, 0.5, 0.0]
-    )
+    obs = encode_states(state)
+    assert encoded_length(3) == 11 == obs.shape[1]
+    assert obs.tolist() == [
+        # k/K, phase one-hot, node one-hot, min(vnf, l)/l, occupancy / capacity
+        [0.5, 0, 1, 0, 0, 1, 0, 2 / 3, 0.0, 0.5, 0.0],
+        [0.75, 1, 0, 0, 0, 0, 1, 1.0, 0.0, 0.5, 0.0],
+    ]
+
+
+def test_step_validates_against_the_handed_out_masks(monkeypatch):
+    env = SaginEnv(_walk_instance())
+    masks = env.masks()
+    assert masks[1].tolist() == [True, True, False]
+    with pytest.raises(ValueError, match="outside mask"):
+        env.step({1: G1})
+    calls = []
+    rule = SaginEnv.action_mask
+    monkeypatch.setattr(SaginEnv, "action_mask",
+                        lambda self, k: calls.append(k) or rule(self, k))
+    masks = env.masks()
+    assert calls == [1]
+    masks[1][U1] = False  # the step reads the handed-out row, not a fresh one
+    with pytest.raises(ValueError, match="outside mask"):
+        env.step({1: U1})
+    assert calls == [1]
+    env.masks()
+    env.step({1: U1})
+    assert calls == [1, 1]  # one mask per decision
+    env.step({1: U1})  # no masks handed out for this slot: the step computes its own
+    assert calls == [1, 1, 1]
+
+
+@pytest.mark.parametrize("rewind", ["restore", "reset"])
+def test_rewinding_drops_the_handed_out_masks(rewind):
+    env = SaginEnv(_walk_instance())
+    snap = env.snapshot()
+    env.step({1: U1})
+    assert env.masks()[1].tolist() == [False, True, False]  # only U1, where it now is
+    if rewind == "restore":
+        env.restore(snap)
+    else:
+        env.reset()
+    # back at G0, staying is allowed again; a stale mask would refuse it
+    assert env.step({1: G0}).done_flags == {1: None}
+    assert env.sfcs[1].node == G0
 
 
 def test_snapshot_restore_replays_identically():

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from sagin_sfc.config import AgentConfig
+from sagin_sfc.config import AgentConfig, load_config
 from sagin_sfc.env import SaginEnv
 from sagin_sfc.learn import (
     DrlAgent,
@@ -23,10 +23,23 @@ from sagin_sfc.learn import (
     run_episode,
     train,
 )
-from sagin_sfc.env import EnvState, SfcView, VnfPhase
+from sagin_sfc.env import EnvState, VnfPhase, encode_states, encoded_length
+from sagin_sfc.scenario import build_instance, contention_instance
 from sagin_sfc.workload import SfcRequest
 
-from helpers import G0, G1, U1, corridor_instance, ddqn_target, dqn_target
+from helpers import (
+    G0,
+    G1,
+    U1,
+    corridor_instance,
+    ddqn_target,
+    dqn_target,
+    reference_action_mask,
+    reference_discretize,
+    reference_encode_state,
+    reference_epsilon_greedy,
+    reference_links,
+)
 
 
 def _tr(seed=0, terminal=False, reward=1.0, obs_len=6, actions=3) -> tuple:
@@ -157,6 +170,36 @@ def test_epsilon_greedy_respects_mask():
         epsilon_greedy(q, np.zeros(3, dtype=bool), 0.5, rng)
 
 
+def _drl_agent_acting_on(q: np.ndarray) -> DrlAgent:
+    """A deep agent whose online net scores every observation matrix as `q`."""
+    agent = DrlAgent("ddqn", 4, q.shape[1], _deep_cfg(), np.random.default_rng(0))
+    agent.online.forward = lambda obs: q
+    return agent
+
+
+def test_drl_act_makes_the_per_chain_draws():
+    rng = np.random.default_rng(0)
+    for case in range(200):
+        rows, actions = int(rng.integers(1, 13)), int(rng.integers(1, 7))
+        if case % 2:  # small integers, so argmax ties are common
+            q = rng.integers(-2, 3, size=(rows, actions)).astype(float)
+        else:
+            q = rng.normal(size=(rows, actions))
+        mask = rng.random((rows, actions)) < 0.5
+        mask[np.arange(rows), rng.integers(actions, size=rows)] = True
+        ks = sorted(rng.choice(50, size=rows, replace=False).tolist())
+        masks = dict(zip(ks, mask))
+        for greediness in (0.0, 0.5, 1.0):
+            seed = int(rng.integers(2**31))
+            got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = _drl_agent_acting_on(q).act(ks, None, masks, greediness, got_rng)
+            want = [reference_epsilon_greedy(q[i], mask[i], greediness, want_rng)
+                    for i in range(rows)]
+            assert list(got) == ks
+            assert list(got.values()) == want
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
 def test_greediness_schedule_ramp():
     assert greediness_schedule(0, 100, 0.9, 0.5) == 0.0
     assert greediness_schedule(25, 100, 0.9, 0.5) == pytest.approx(0.45)
@@ -172,24 +215,63 @@ def test_greediness_schedule_ramp():
 def _state(occ, cap, phase=VnfPhase.STORED, node=0, vnf_index=1):
     return EnvState(
         slot=1,
-        sfcs={1: SfcView(k=1, phase=phase, node=node, vnf_index=vnf_index,
-                         t_c=0, t_p=0, elapsed=1, done=None)},
+        ks=[1, 2],
+        phase=np.array([phase, VnfPhase.TRANSMITTING]),
+        node=np.array([node, 3]),
+        vnf_index=np.array([vnf_index, 2]),
+        length=np.array([2, 2]),
         occupancy_bits=np.asarray(occ, dtype=float),
         capacity_bits=np.asarray(cap, dtype=float),
-        sfc_count=1,
-        chain_lengths={1: 2},
+        sfc_count=2,
     )
 
 
 def test_discretize_buckets_and_tracking():
     st = _state(occ=[0.0, 2e8, 8e8, 0.0], cap=[0.0, 8e8, 8e8, 8e8])
-    key = discretize(st, 1, tracked_nodes=2, buckets=4)
-    # ground (capacity 0) skipped; loads 25% and 100% -> buckets 1 and 3
-    assert key == (int(VnfPhase.STORED), 0, 1, (1, 3))
-    key3 = discretize(st, 1, tracked_nodes=3, buckets=4)
-    assert key3[3] == (1, 3, 0)
+    keys = discretize(st, tracked_nodes=2, buckets=4)
+    # ground (capacity 0) skipped; loads 25% and 100% -> buckets 1 and 3,
+    # shared by every chain of the slot
+    assert keys == [(int(VnfPhase.STORED), 0, 1, (1, 3)),
+                    (int(VnfPhase.TRANSMITTING), 3, 2, (1, 3))]
+    assert discretize(st, tracked_nodes=3, buckets=4)[0][3] == (1, 3, 0)
     st2 = _state(occ=[0.0] * 4, cap=[0.0, 8e8, 8e8, 8e8], vnf_index=9)
-    assert discretize(st2, 1, 2, 4)[2] == 4  # progress clamps
+    assert discretize(st2, 2, 4)[0][2] == 4  # progress clamps
+
+
+def _slot_pass_instance(name):
+    if name == "contention":
+        return contention_instance()
+    seed = {"tiny": 3, "desk": 1, "default": 1}[name]
+    return build_instance(load_config(f"configs/{name}.yaml"), seed)
+
+
+@pytest.mark.parametrize("name", ["tiny", "desk", "default", "contention"])
+def test_slot_pass_matches_the_per_chain_references(name):
+    instance = _slot_pass_instance(name)
+    rteg, cfg = instance.rteg, AgentConfig()
+    links = reference_links(rteg.nodes, rteg.positions, rteg.slot_count,
+                            instance.config.scenario.range_limits)
+    env = SaginEnv(instance)
+    rng = np.random.default_rng(5)
+    decisions = 0
+    for _episode in range(2):
+        state = env.reset()
+        while not env.episode_over:
+            masks = env.masks()
+            obs = encode_states(state)
+            keys = discretize(state, cfg.tabular_tracked_nodes, cfg.tabular_buckets)
+            assert state.ks == env.active_sfcs() == list(masks)
+            assert obs.shape == (len(state.ks), encoded_length(rteg.node_count))
+            for i, k in enumerate(state.ks):
+                assert np.array_equal(obs[i], reference_encode_state(env, k))
+                assert keys[i] == reference_discretize(env, k, cfg.tabular_tracked_nodes,
+                                                       cfg.tabular_buckets)
+                assert all(type(v) is int for v in keys[i][:3] + keys[i][3])
+                assert np.array_equal(masks[k], reference_action_mask(env, k, links))
+            decisions += len(masks)
+            env.step({k: int(rng.choice(np.flatnonzero(m))) for k, m in masks.items()})
+            state = env.state()
+    assert decisions > 2 * len(instance.requests)
 
 
 def test_qlearning_update_math():
@@ -214,9 +296,9 @@ def test_sarsa_waits_for_the_realized_action():
     assert 1 in agent.pending
     # the mask forces action 2 — not the argmax 1 — so the realized action is
     # exploratory and Sarsa must bootstrap on it, not on the max
-    taken = agent.act(1, nxt, np.array([False, False, True]), 1.0,
+    taken = agent.act([1], [nxt], {1: np.array([False, False, True])}, 1.0,
                       np.random.default_rng(0))
-    assert taken == 2
+    assert taken == {1: 2}
     assert agent.q[key][0] == pytest.approx(0.5 * (1.0 + 0.9 * 1.0))
     assert 1 not in agent.pending
 
@@ -327,14 +409,17 @@ class _ScriptedAgent:
         self.acted = {}  # (slot, k) -> (obs, mask) handed to act
         self.nexts = []  # (slot, k, next_obs, next_mask) of non-terminal records
 
-    def prepare(self, state, k):
+    def prepare(self, state):
         self.prepared += 1
-        return (state.slot, k)
+        return [(state.slot, k) for k in state.ks]
 
-    def act(self, k, obs, mask, greediness, rng):
+    def act(self, ks, obs, masks, greediness, rng):
         self.greediness = greediness
-        self.acted[obs] = (obs, mask)
-        return self.plan.get(obs[0], int(np.flatnonzero(mask)[-1]))
+        actions = {}
+        for k, ob in zip(ks, obs):
+            self.acted[ob] = (ob, masks[k])
+            actions[k] = self.plan.get(ob[0], int(np.flatnonzero(masks[k])[-1]))
+        return actions
 
     def record(self, k, obs, action, reward, next_obs, next_mask, terminal):
         self.recorded.append((obs[0], action, reward, terminal))
@@ -368,7 +453,9 @@ def test_run_episode_prepares_each_chain_once_per_slot():
     env = SaginEnv(corridor_instance(requests=reqs))
     agent = _ScriptedAgent({})
     run_episode(env, agent, 1.0, np.random.default_rng(0), learn=True)
-    assert agent.prepared == len(agent.acted) == len(agent.recorded)
+    slots = {slot for slot, _k in agent.acted}
+    assert agent.prepared == len(slots) == agent.ticks
+    assert len(agent.acted) == len(agent.recorded)
     assert {k for _slot, k in agent.acted} == {1, 2, 3}
     assert agent.nexts
     for slot, k, next_obs, next_mask in agent.nexts:
